@@ -11,6 +11,7 @@
 #include <string>
 
 #include "app/benchmark.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "power/area.hpp"
@@ -33,15 +34,9 @@ double dm_access_energy(std::size_t bank_words) {
 
 int main(int argc, char** argv) {
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-            cluster::parse_engine(argv[i + 1], engine)) {
-            ++i;
-            continue;
-        }
-        std::cerr << "usage: ext_bank_sweep [--engine reference|fast|trace]\n";
-        return 2;
-    }
+    Cli cli("ext_bank_sweep", "[options]");
+    cluster::add_engine_flag(cli, engine);
+    cli.parse(argc, argv);
 
     exp::print_experiment_header("Extension: DM/IM bank-count design space",
                                  "beyond the paper (its Section III choices)");

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "app/benchmark.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "power/calibration.hpp"
@@ -18,15 +19,9 @@ using namespace ulpmc;
 
 int main(int argc, char** argv) {
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--engine" && i + 1 < argc &&
-            cluster::parse_engine(argv[i + 1], engine)) {
-            ++i;
-            continue;
-        }
-        std::cerr << "usage: ext_core_scaling [--engine reference|fast|trace]\n";
-        return 2;
-    }
+    Cli cli("ext_core_scaling", "[options]");
+    cluster::add_engine_flag(cli, engine);
+    cli.parse(argc, argv);
 
     exp::print_experiment_header("Extension: core-count scaling at a fixed real-time job",
                                  "the paper's premise (ref. [9], PATMOS'11)");

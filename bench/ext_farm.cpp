@@ -20,10 +20,7 @@
 // counters (restarts, kills, stalls, escalations, re-simulated devices)
 // — all host-timing-free except wall seconds, and never byte-compared.
 //
-// Usage: ext_farm --fleet-bin PATH [--seed S] [--devices N] [--cohorts C]
-//                 [--workers W] [--kills K] [--stalls S] [--chaos-seed N]
-//                 [--threads T] [--engine E] [--timeline FILE]
-//                 [--dir DIR] [--json FILE]
+// Usage: ext_farm --fleet-bin PATH [options]   (--help lists them)
 #include <cerrno>
 #include <fstream>
 #include <iostream>
@@ -33,6 +30,7 @@
 #include <sys/stat.h>
 
 #include "common/atomic_file.hpp"
+#include "common/cli.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
@@ -89,50 +87,24 @@ int main(int argc, char** argv) {
     unsigned ref_threads = 0;
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--fleet-bin") {
-            opt.fleet_bin = value();
-        } else if (arg == "--seed") {
-            opt.fleet.seed = std::stoull(value());
-        } else if (arg == "--devices") {
-            opt.fleet.devices = std::stoull(value());
-        } else if (arg == "--cohorts") {
-            opt.fleet.cohorts = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--workers") {
-            opt.workers = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--kills") {
-            opt.chaos_kills = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--stalls") {
-            opt.chaos_stalls = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--chaos-seed") {
-            opt.chaos_seed = std::stoull(value());
-        } else if (arg == "--threads") {
-            ref_threads = static_cast<unsigned>(std::stoul(value()));
-            opt.worker_threads = ref_threads;
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), opt.fleet.engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--dir") {
-            opt.dir = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
+    Cli cli("ext_farm", "--fleet-bin PATH [options]");
+    cli.text("--fleet-bin", "PATH", "ulpmc-fleet worker binary (required)", opt.fleet_bin)
+        .seed(opt.fleet.seed)
+        .integer("--devices", "N", "fleet size (default 96)", opt.fleet.devices, 1, ~0ull)
+        .integer("--cohorts", "C", "workload cohorts (default 3)", opt.fleet.cohorts, 1, 4096)
+        .integer("--workers", "W", "shard worker processes (default 4)", opt.workers, 1, 256)
+        .integer("--kills", "K", "chaos SIGKILLs (default 6)", opt.chaos_kills, 0, ~0u)
+        .integer("--stalls", "S", "chaos SIGSTOPs (default 2)", opt.chaos_stalls, 0, ~0u)
+        .integer("--chaos-seed", "N", "chaos schedule seed (default 7)", opt.chaos_seed, 0, ~0ull)
+        .threads(ref_threads);
+    cluster::add_engine_flag(cli, opt.fleet.engine);
+    cli.text("--timeline", "FILE", "phase script (default: the built-in fleet_smoke)",
+             timeline_path)
+        .text("--dir", "DIR", "scratch dir (default farm_bench)", opt.dir)
+        .json(json_path);
+    cli.parse(argc, argv);
+    // --threads sizes both the reference run and every worker.
+    if (cli.given("--threads")) opt.worker_threads = ref_threads;
     if (opt.fleet_bin.empty()) {
         std::cerr << "--fleet-bin is required (path to the ulpmc-fleet worker binary)\n";
         return 2;

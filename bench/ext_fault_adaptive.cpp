@@ -15,8 +15,7 @@
 // the same zero-SDC coverage at LOWER total overhead (checkpoint-save +
 // re-execution energy) than the best fixed interval in the ladder.
 //
-// Usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]
-//                           [--engine reference|fast|trace] [--shard K/N]
+// Usage: ext_fault_adaptive [options]   (--help lists them)
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "app/streaming.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -45,26 +45,6 @@ constexpr double kLambdaHigh = 1e-3;
 /// real contest against intervals tuned for either phase, not a strawman.
 constexpr Cycle kFixedIntervals[] = {200, 600, 2000, 6000};
 constexpr unsigned kBlocks = 6;
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') return false;
-    out = v;
-    return true;
-}
-
-bool parse_shard(const std::string& s, unsigned& index, unsigned& count) {
-    const auto slash = s.find('/');
-    if (slash == std::string::npos) return false;
-    std::uint64_t k = 0, n = 0;
-    if (!parse_u64(s.substr(0, slash).c_str(), k)) return false;
-    if (!parse_u64(s.substr(slash + 1).c_str(), n)) return false;
-    if (n < 1 || k >= n) return false;
-    index = static_cast<unsigned>(k);
-    count = static_cast<unsigned>(n);
-    return true;
-}
 
 struct PolicyResult {
     std::string name;
@@ -116,30 +96,13 @@ int main(int argc, char** argv) {
     cfg.lambda_low = kLambdaLow;
     cfg.lambda_high = kLambdaHigh;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::uint64_t v = 0;
-        if (arg == "--runs" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1) {
-            cfg.injections = static_cast<unsigned>(v);
-        } else if (arg == "--seed" && i + 1 < argc && parse_u64(argv[++i], v)) {
-            cfg.seed = v;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--engine" && i + 1 < argc) {
-            if (!cluster::parse_engine(argv[++i], cfg.engine)) {
-                std::cerr << "unknown engine '" << argv[i]
-                          << "' (expected reference, fast or trace)\n";
-                return 2;
-            }
-        } else if (arg == "--shard" && i + 1 < argc &&
-                   parse_shard(argv[++i], cfg.shard_index, cfg.shard_count)) {
-            // parsed in place
-        } else {
-            std::cerr << "usage: ext_fault_adaptive [--runs N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace] [--shard K/N]\n";
-            return 2;
-        }
-    }
+    Cli cli("ext_fault_adaptive", "[options]");
+    cli.integer("--runs", "N", "streaming runs per policy (default 12)", cfg.injections, 1, ~0u)
+        .seed(cfg.seed)
+        .json(json_path);
+    cluster::add_engine_flag(cli, cfg.engine);
+    cli.shard(cfg.shard_index, cfg.shard_count);
+    cli.parse(argc, argv);
 
     exp::print_experiment_header("Extension: adaptive checkpoint intervals",
                                  "beyond the paper (self-tuning resilience, DESIGN.md §9)");

@@ -18,9 +18,7 @@
 // indices congruent to K mod N; tools/merge_campaign.py folds the shard
 // JSONs back into the byte-identical unsharded artifact.
 //
-// Usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]
-//                           [--engine reference|fast|trace|batched]
-//                           [--batch B] [--shard K/N]
+// Usage: ext_fault_campaign [options]   (--help lists them)
 //
 // --engine batched runs every campaign through the lockstep-sharing tier
 // (DESIGN.md §11): outcome/energy tables stay byte-identical to trace,
@@ -36,6 +34,7 @@
 #include "app/benchmark.hpp"
 #include "app/streaming.hpp"
 #include "cluster/stats.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 #include "fault/campaign.hpp"
@@ -91,26 +90,6 @@ constexpr Tier kStreamTiers[] = {
 constexpr unsigned kBurstLen = 3;
 constexpr unsigned kRegBurst = 2;
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') return false;
-    out = v;
-    return true;
-}
-
-bool parse_shard(const std::string& s, unsigned& index, unsigned& count) {
-    const auto slash = s.find('/');
-    if (slash == std::string::npos) return false;
-    std::uint64_t k = 0, n = 0;
-    if (!parse_u64(s.substr(0, slash).c_str(), k)) return false;
-    if (!parse_u64(s.substr(slash + 1).c_str(), n)) return false;
-    if (n < 1 || k >= n) return false;
-    index = static_cast<unsigned>(k);
-    count = static_cast<unsigned>(n);
-    return true;
-}
-
 /// A campaign result tagged with the workload that produced it.
 struct TaggedResult {
     const char* workload; ///< "oneshot" | "streaming"
@@ -165,34 +144,15 @@ int main(int argc, char** argv) {
     cfg.injections = 400;
     cfg.seed = 42;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::uint64_t v = 0;
-        if (arg == "--injections" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1) {
-            cfg.injections = static_cast<unsigned>(v);
-        } else if (arg == "--seed" && i + 1 < argc && parse_u64(argv[++i], v)) {
-            cfg.seed = v;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--engine" && i + 1 < argc) {
-            if (!cluster::parse_engine(argv[++i], cfg.engine)) {
-                std::cerr << "unknown engine '" << argv[i]
-                          << "' (expected reference, fast, trace or batched)\n";
-                return 2;
-            }
-        } else if (arg == "--batch" && i + 1 < argc && parse_u64(argv[++i], v) && v >= 1 &&
-                   v <= 4096) {
-            cfg.batch = static_cast<unsigned>(v);
-        } else if (arg == "--shard" && i + 1 < argc &&
-                   parse_shard(argv[++i], cfg.shard_index, cfg.shard_count)) {
-            // parsed in place
-        } else {
-            std::cerr << "usage: ext_fault_campaign [--injections N] [--seed S] [--json FILE]\n"
-                         "                          [--engine reference|fast|trace|batched]\n"
-                         "                          [--batch B] [--shard K/N]\n";
-            return 2;
-        }
-    }
+    Cli cli("ext_fault_campaign", "[options]");
+    cli.integer("--injections", "N", "seeded strikes per campaign (default 400)", cfg.injections,
+                1, ~0u)
+        .seed(cfg.seed)
+        .json(json_path);
+    cluster::add_engine_flag(cli, cfg.engine);
+    cli.integer("--batch", "B", "lanes under --engine batched (default 8)", cfg.batch, 1, 4096)
+        .shard(cfg.shard_index, cfg.shard_count);
+    cli.parse(argc, argv);
 
     exp::print_experiment_header("Extension: fault-injection campaigns",
                                  "beyond the paper (dependability axis, DESIGN.md §9)");

@@ -22,15 +22,14 @@
 // and the "throughput" subtree is host-dependent (wall times, speedup —
 // gated only as speedup >= 10, never byte-compared).
 //
-// Usage: ext_fleet [--seed S] [--devices N] [--cohorts C] [--naive M]
-//                  [--threads T] [--engine E] [--timeline FILE]
-//                  [--json FILE]
+// Usage: ext_fleet [options]   (--help lists them)
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/report.hpp"
 #include "scenario/engine.hpp"
@@ -69,43 +68,18 @@ int main(int argc, char** argv) {
     std::uint64_t naive_devices = 12;
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            opt.seed = std::stoull(value());
-        } else if (arg == "--devices") {
-            opt.devices = std::stoull(value());
-        } else if (arg == "--cohorts") {
-            opt.cohorts = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--naive") {
-            naive_devices = std::stoull(value());
-        } else if (arg == "--threads") {
-            opt.threads = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), opt.engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
-    if (opt.devices == 0) {
-        std::cerr << "--devices must be >= 1\n";
-        return 2;
-    }
+    Cli cli("ext_fleet", "[options]");
+    cli.seed(opt.seed)
+        .integer("--devices", "N", "fleet size (default 512)", opt.devices, 1, ~0ull)
+        .integer("--cohorts", "C", "workload cohorts (default 2)", opt.cohorts, 1, 4096)
+        .integer("--naive", "M", "devices sampled by the naive arm (default 12)", naive_devices,
+                 0, ~0ull)
+        .threads(opt.threads);
+    cluster::add_engine_flag(cli, opt.engine);
+    cli.text("--timeline", "FILE", "phase script (default: the built-in fleet_smoke)",
+             timeline_path)
+        .json(json_path);
+    cli.parse(argc, argv);
     naive_devices = std::min(naive_devices, opt.devices);
     if (naive_devices == 0) naive_devices = 1;
 

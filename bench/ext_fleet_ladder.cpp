@@ -15,9 +15,7 @@
 // thresholds) run full-fidelity into the drought and pay in brownouts —
 // delivery lost to a dead device instead of a deliberate degrade.
 //
-// Usage: ext_fleet_ladder [--seed S] [--devices N] [--cohorts C]
-//                         [--threads T] [--engine E] [--timeline FILE]
-//                         [--json FILE]
+// Usage: ext_fleet_ladder [options]   (--help lists them)
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -25,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "fleet/fleet.hpp"
 #include "scenario/timeline.hpp"
 
@@ -81,37 +80,16 @@ int main(int argc, char** argv) {
     base.baseline_fraction = 0; // ladder-only: the sweep is about the rungs
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            base.seed = std::stoull(value());
-        } else if (arg == "--devices") {
-            base.devices = std::stoull(value());
-        } else if (arg == "--cohorts") {
-            base.cohorts = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--threads") {
-            base.threads = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), base.engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
+    Cli cli("ext_fleet_ladder", "[options]");
+    cli.seed(base.seed)
+        .integer("--devices", "N", "fleet size (default 48)", base.devices, 1, ~0ull)
+        .integer("--cohorts", "C", "workload cohorts (default 2)", base.cohorts, 1, 4096)
+        .threads(base.threads);
+    cluster::add_engine_flag(cli, base.engine);
+    cli.text("--timeline", "FILE", "phase script (default: the built-in fleet-ladder)",
+             timeline_path)
+        .json(json_path);
+    cli.parse(argc, argv);
 
     scenario::Timeline tl;
     try {

@@ -17,14 +17,14 @@
 // and its SDC count may not rise, and the ladder-beats-baseline
 // invariants must hold in every fresh artifact.
 //
-// Usage: ext_lifetime [--seed S] [--engine E] [--threads N]
-//                     [--timeline FILE] [--json FILE]
+// Usage: ext_lifetime [options]   (--help lists them)
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/report.hpp"
@@ -54,37 +54,17 @@ phase recharge  3600  ble_loss=0.01 harvest_uw=300
 
 int main(int argc, char** argv) {
     std::uint64_t seed = 42;
-    std::uint64_t threads = 0;
+    unsigned threads = 0;
     cluster::SimEngine engine = cluster::SimEngine::Trace;
     std::string json_path;
     std::string timeline_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            seed = std::stoull(value());
-        } else if (arg == "--threads") {
-            threads = std::stoull(value());
-        } else if (arg == "--engine") {
-            if (!cluster::parse_engine(value(), engine)) {
-                std::cerr << "--engine: unknown engine\n";
-                return 2;
-            }
-        } else if (arg == "--timeline") {
-            timeline_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            return 2;
-        }
-    }
+    Cli cli("ext_lifetime", "[options]");
+    cli.seed(seed).threads(threads);
+    cluster::add_engine_flag(cli, engine);
+    cli.text("--timeline", "FILE", "phase script (default: the built-in bench day)",
+             timeline_path)
+        .json(json_path);
+    cli.parse(argc, argv);
 
     scenario::Timeline tl;
     std::string tl_name = "bench-day";
@@ -103,7 +83,7 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    sweep::SweepRunner pool(static_cast<unsigned>(threads));
+    sweep::SweepRunner pool(threads);
     std::vector<scenario::LifetimeReport> runs;
     for (const auto policy : {scenario::Policy::Ladder, scenario::Policy::Baseline}) {
         scenario::DeviceConfig dc;

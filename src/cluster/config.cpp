@@ -1,6 +1,7 @@
 #include "cluster/config.hpp"
 
 #include "common/assert.hpp"
+#include "common/cli.hpp"
 
 namespace ulpmc::cluster {
 
@@ -30,19 +31,9 @@ std::string engine_name(SimEngine e) {
     ULPMC_ASSERT(false);
 }
 
-bool parse_engine(const std::string& s, SimEngine& out) {
-    if (s == "reference") {
-        out = SimEngine::Reference;
-    } else if (s == "fast") {
-        out = SimEngine::Fast;
-    } else if (s == "trace") {
-        out = SimEngine::Trace;
-    } else if (s == "batched") {
-        out = SimEngine::Batched;
-    } else {
-        return false;
-    }
-    return true;
+void add_engine_flag(Cli& cli, SimEngine& out) {
+    cli.choice("--engine", "simulator tier; results are identical across tiers", out,
+               kSimEngineCount, engine_name);
 }
 
 ClusterConfig make_config(ArchKind k, mmu::DmLayout layout) {

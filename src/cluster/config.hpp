@@ -9,6 +9,10 @@
 #include "core/state.hpp"
 #include "mmu/mmu.hpp"
 
+namespace ulpmc {
+class Cli;
+} // namespace ulpmc
+
 namespace ulpmc::cluster {
 
 /// The three architectures compared throughout the paper's §IV.
@@ -17,6 +21,7 @@ enum class ArchKind : std::uint8_t {
     UlpmcInt, ///< proposed, interleaved IM bank selection
     UlpmcBank ///< proposed, packed IM banks + power gating
 };
+inline constexpr unsigned kArchKindCount = static_cast<unsigned>(ArchKind::UlpmcBank) + 1;
 
 /// Display name used in every reproduced table ("mc-ref", ...).
 std::string arch_name(ArchKind k);
@@ -31,12 +36,13 @@ enum class SimEngine : std::uint8_t {
     Batched    ///< PR 6: Trace inside one instance, plus campaign-level
                ///< lockstep sharing across instances (DESIGN.md §11)
 };
+inline constexpr unsigned kSimEngineCount = static_cast<unsigned>(SimEngine::Batched) + 1;
 
 /// Display / CLI name: "reference", "fast", "trace", "batched".
 std::string engine_name(SimEngine e);
 
-/// Parse a --engine value. Returns false on unknown names.
-bool parse_engine(const std::string& s, SimEngine& out);
+/// Declares the shared --engine flag on `cli`: any tier by engine_name().
+void add_engine_flag(Cli& cli, SimEngine& out);
 
 /// Full cluster parameterization. Use make_config() for the paper's three
 /// designs; individual fields exist so ablation benches can deviate.

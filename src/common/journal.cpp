@@ -2,10 +2,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <ostream>
+#include <sstream>
 
 #include <unistd.h>
 
 #include "common/crc32.hpp"
+#include "common/serial.hpp"
 
 namespace ulpmc {
 
@@ -91,6 +95,49 @@ void JournalWriter::append(std::uint32_t kind, const std::vector<std::uint8_t>& 
     ok = ok && fsync(fileno(f_)) == 0;
     if (!ok)
         throw JournalError("journal: append failed: " + path_ + ": " + std::strerror(errno));
+}
+
+RunJournal open_run_journal(const std::string& path, bool resume, const std::string& input_path,
+                            std::uint32_t meta_kind, std::vector<std::uint8_t> meta,
+                            const std::function<bool(std::size_t, const JournalFrame&)>& replay,
+                            std::ostream& log) {
+    std::ifstream in(input_path, std::ios::binary);
+    if (!in) throw JournalError(input_path + ": cannot re-read for journal binding");
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    const std::string bytes = ss.str();
+    put_raw(meta, crc32(bytes.data(), bytes.size()));
+
+    RunJournal rj;
+    std::uint64_t keep = 0;
+    if (resume) {
+        JournalContents jc;
+        try {
+            jc = read_journal(path);
+        } catch (const JournalError&) {
+            log << "note: " << path << ": no journal yet, starting fresh\n";
+        }
+        if (!jc.frames.empty()) {
+            if (jc.frames[0].kind != meta_kind || jc.frames[0].payload != meta)
+                throw JournalError(path + ": journal was written by a different run "
+                                          "(options or timeline changed); refusing to resume");
+            rj.resumed = true;
+            std::uint64_t skipped = 0;
+            // Forward compatibility: a frame of a kind this binary does not
+            // know carries no replay state for it, so it is skipped, not fatal.
+            for (std::size_t f = 1; f < jc.frames.size(); ++f)
+                if (!replay(f, jc.frames[f])) ++skipped;
+            keep = jc.clean_bytes;
+            if (jc.torn_tail)
+                log << "note: " << path << ": dropping torn frame after " << keep << " bytes\n";
+            if (skipped > 0)
+                log << "note: " << path << ": skipping " << skipped
+                    << " frame(s) of unknown kind (newer writer?)\n";
+        }
+    }
+    rj.writer = std::make_unique<JournalWriter>(path, keep);
+    if (!rj.resumed) rj.writer->append(meta_kind, meta);
+    return rj;
 }
 
 } // namespace ulpmc

@@ -17,6 +17,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <iosfwd>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,5 +70,29 @@ private:
     std::FILE* f_ = nullptr;
     std::string path_;
 };
+
+/// A run's journal, opened for appending by open_run_journal().
+struct RunJournal {
+    std::unique_ptr<JournalWriter> writer;
+    bool resumed = false; ///< an existing journal's frames were replayed
+};
+
+/// Opens (or, with `resume`, continues) the journal at `path` for one run.
+///
+/// The journal's first frame, of kind `meta_kind`, binds it to the run: it
+/// holds `meta` (the run's options) followed by the CRC-32 of the bytes of
+/// `input_path` (the script the run reads), so a journal never resumes
+/// against other options or an edited script. With `resume`, a missing
+/// journal starts fresh; otherwise its meta frame must match, and every
+/// later intact frame goes to `replay(index, frame)` in order, which
+/// returns false for a kind it does not know (counted, then noted) or
+/// throws JournalError to refuse the journal. A torn tail is dropped.
+/// Notes go to `log`; every refusal throws JournalError with a one-line
+/// message.
+RunJournal
+open_run_journal(const std::string& path, bool resume, const std::string& input_path,
+                 std::uint32_t meta_kind, std::vector<std::uint8_t> meta,
+                 const std::function<bool(std::size_t, const JournalFrame&)>& replay,
+                 std::ostream& log);
 
 } // namespace ulpmc

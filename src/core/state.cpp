@@ -1,7 +1,5 @@
 #include "core/state.hpp"
 
-#include <string_view>
-
 namespace ulpmc::core {
 
 const char* trap_name(Trap t) {
@@ -34,20 +32,6 @@ const char* reg_protection_name(RegProtection p) {
         return "tmr";
     }
     return "?";
-}
-
-bool parse_reg_protection(const char* s, RegProtection& out) {
-    const std::string_view v(s);
-    if (v == "none") {
-        out = RegProtection::None;
-    } else if (v == "parity") {
-        out = RegProtection::Parity;
-    } else if (v == "tmr") {
-        out = RegProtection::Tmr;
-    } else {
-        return false;
-    }
-    return true;
 }
 
 } // namespace ulpmc::core

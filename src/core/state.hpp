@@ -43,7 +43,4 @@ enum class RegProtection : std::uint8_t { None = 0, Parity, Tmr };
 /// Human-readable protection-mode name (CLI, tables, JSON).
 const char* reg_protection_name(RegProtection p);
 
-/// Parses "none" / "parity" / "tmr"; returns false on anything else.
-bool parse_reg_protection(const char* s, RegProtection& out);
-
 } // namespace ulpmc::core

@@ -51,7 +51,6 @@ WorkStealingPool::run(std::uint64_t n, const std::function<void(std::uint64_t, u
     }
     ULPMC_EXPECTS(next == n);
 
-    std::atomic<std::uint64_t> remaining{n};
     std::atomic<bool> abort{false};
     std::mutex err_m;
     std::exception_ptr error;
@@ -74,7 +73,6 @@ WorkStealingPool::run(std::uint64_t n, const std::function<void(std::uint64_t, u
             if (!have) {
                 // Steal: take half of the richest-looking victim's ranges
                 // (back half, so the victim keeps its locality streak).
-                if (remaining.load(std::memory_order_acquire) == 0) return;
                 bool stole = false;
                 for (unsigned hop = 1; hop < w && !stole; ++hop) {
                     WorkerDeque& victim = deques[(self + hop) % w];
@@ -102,10 +100,11 @@ WorkStealingPool::run(std::uint64_t n, const std::function<void(std::uint64_t, u
                     mine.stolen_tasks += moved;
                     stole = true;
                 }
-                if (!stole) {
-                    if (remaining.load(std::memory_order_acquire) == 0) return;
-                    std::this_thread::yield();
-                }
+                // Ranges only move between deques and only shrink, and every
+                // range sits in the deque of a worker that drains it before
+                // leaving. So after an empty steal pass whatever is left is
+                // owned by a worker still running: leave, don't spin.
+                if (!stole) return;
                 continue;
             }
             try {
@@ -118,7 +117,6 @@ WorkStealingPool::run(std::uint64_t n, const std::function<void(std::uint64_t, u
                 abort.store(true, std::memory_order_relaxed);
             }
             ++mine.executed;
-            remaining.fetch_sub(1, std::memory_order_release);
         }
     };
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/atomic_file.hpp"
@@ -198,6 +199,46 @@ TEST_F(JournalTest, AtomicWriteReplacesTheTargetWithoutATempResidue) {
 
 TEST_F(JournalTest, AtomicWriteToAnUnwritablePathThrows) {
     EXPECT_THROW(write_file_atomic("/nonexistent-dir/x/y", "data"), AtomicFileError);
+}
+
+TEST_F(JournalTest, RunJournalBindsOptionsAndInputThenReplays) {
+    const std::string input = path_ + ".input";
+    std::ofstream(input) << "phase a 10\n";
+    constexpr std::uint32_t kMeta = 1, kWork = 2, kOther = 3;
+    const auto never = [](std::size_t, const JournalFrame&) -> bool { throw "no replay"; };
+    std::ostringstream log;
+
+    // Fresh: the meta frame is written, nothing replayed.
+    {
+        RunJournal rj = open_run_journal(path_, true, input, kMeta, bytes({7}), never, log);
+        EXPECT_FALSE(rj.resumed);
+        rj.writer->append(kWork, bytes({1}));
+        rj.writer->append(kOther, bytes({}));
+        rj.writer->append(kWork, bytes({2}));
+    }
+    EXPECT_NE(log.str().find("no journal yet"), std::string::npos);
+
+    // Resume: every later frame is offered in order; unknown kinds are noted.
+    std::vector<std::uint8_t> seen;
+    const auto replay = [&](std::size_t, const JournalFrame& f) {
+        if (f.kind != kWork) return false;
+        seen.push_back(f.payload[0]);
+        return true;
+    };
+    log.str("");
+    EXPECT_TRUE(open_run_journal(path_, true, input, kMeta, bytes({7}), replay, log).resumed);
+    EXPECT_EQ(seen, bytes({1, 2}));
+    EXPECT_NE(log.str().find("skipping 1 frame(s) of unknown kind"), std::string::npos);
+
+    // Other options, or an edited input, are a different run.
+    EXPECT_THROW(open_run_journal(path_, true, input, kMeta, bytes({8}), never, log),
+                 JournalError);
+    std::ofstream(input) << "phase a 11\n";
+    EXPECT_THROW(open_run_journal(path_, true, input, kMeta, bytes({7}), never, log),
+                 JournalError);
+    EXPECT_THROW(open_run_journal(path_, true, input + ".missing", kMeta, bytes({7}), never, log),
+                 JournalError);
+    std::remove(input.c_str());
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "fleet/scheduler.hpp"
 
 namespace ulpmc::fleet {
@@ -73,6 +75,29 @@ TEST(Scheduler, FirstExceptionPropagates) {
                               if (i == 42) throw std::runtime_error("device 42 exploded");
                           }),
                  std::runtime_error);
+}
+
+double process_cpu_s() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto s = [](const timeval& t) { return t.tv_sec + t.tv_usec * 1e-6; };
+    return s(ru.ru_utime) + s(ru.ru_stime);
+}
+
+TEST(Scheduler, IdleWorkersDoNotSpin) {
+    // One slow index on four workers: the three without work must leave,
+    // not burn a CPU each until the slow one finishes.
+    WorkStealingPool pool(4);
+    const double cpu0 = process_cpu_s();
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.run(1, [](std::uint64_t, unsigned) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    });
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const double cpu = process_cpu_s() - cpu0;
+    EXPECT_GE(wall, 0.3);
+    EXPECT_LT(cpu, 0.25 * wall) << "cpu " << cpu << " s over " << wall << " s of wall time";
 }
 
 } // namespace

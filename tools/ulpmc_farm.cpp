@@ -11,71 +11,27 @@
 //
 // Usage:
 //   ulpmc-farm --timeline FILE --fleet-bin PATH [options]
-//     --timeline FILE   phase script (required)
-//     --fleet-bin PATH  ulpmc-fleet worker binary (required)
-//     --devices N       GLOBAL fleet size (default 1000)
-//     --seed N          fleet master seed (default 1)
-//     --cohorts N       workload cohorts (default 8)
-//     --days D          per-device lifetime (default: one pass)
-//     --baseline F      baseline-policy fraction (default 0.25)
-//     --engine E        reference|fast|trace|batched (default trace)
-//     --workers N       shard worker processes (default 4)
-//     --worker-threads N  threads per worker, 0 = hardware (default 0)
-//     --dir DIR         scratch dir for shard_K.{jnl,json,ulpf,log} (default farm)
-//     --json FILE       merged fleet JSON (byte-identical to unsharded)
-//     --store FILE      merged ULPF store (byte-identical to unsharded)
-//     --report FILE     supervision report JSON ('-' = stdout)
-//     --heartbeat S     worker heartbeat period (default 0.5)
-//     --timeout S       no-journal-growth window before SIGTERM (default 10)
-//     --grace S         SIGTERM -> SIGKILL escalation grace (default 2)
-//     --backoff BASE/MAX  restart backoff bounds in seconds (default 0.25/8)
-//     --retries N       restarts allowed per shard (default 8)
-//     --chaos SPEC      kills=K[,stalls=S][,seed=N] — SIGKILL/SIGSTOP own
-//                       workers at seeded progress points
+//                                            (ulpmc-farm --help lists them)
+//
+// --chaos kills=K[,stalls=S][,seed=N] SIGKILLs/SIGSTOPs the farm's own
+// workers at seeded progress points; --backoff BASE/MAX bounds the restart
+// backoff in seconds.
 //
 // Exit codes: 0 complete (merged artifacts written), 2 bad usage,
 // 3 partial failure (a shard died after exhausting its retry budget; the
 // summary names it), 1 internal/merge error.
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "common/atomic_file.hpp"
+#include "common/cli.hpp"
 #include "fleet/farm.hpp"
 #include "fleet/store.hpp"
 
 namespace {
-
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-farm --timeline FILE --fleet-bin PATH [--devices N] [--seed N]\n"
-          "                  [--cohorts N] [--days D] [--baseline F] [--engine E]\n"
-          "                  [--workers N] [--worker-threads N] [--dir DIR]\n"
-          "                  [--json FILE] [--store FILE] [--report FILE]\n"
-          "                  [--heartbeat S] [--timeout S] [--grace S]\n"
-          "                  [--backoff BASE/MAX] [--retries N]\n"
-          "                  [--chaos kills=K[,stalls=S][,seed=N]]\n";
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
 
 /// kills=K[,stalls=S][,seed=N], any order, each key at most once.
 bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
@@ -92,7 +48,8 @@ bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
         const std::string key = part.substr(0, eq);
         if (!keys.insert(key).second) return false;
         std::uint64_t v = 0;
-        if (!parse_u64(part.substr(eq + 1), v)) return false;
+        if (!ulpmc::read_u64(part.substr(eq + 1), 0, key == "seed" ? ~0ull : ~0u, v).empty())
+            return false;
         if (key == "kills") {
             opt.chaos_kills = static_cast<unsigned>(v);
         } else if (key == "stalls") {
@@ -111,129 +68,60 @@ bool parse_chaos(const std::string& spec, ulpmc::fleet::FarmOptions& opt) {
 int main(int argc, char** argv) {
     ulpmc::fleet::FarmOptions opt;
     std::string report_path;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            opt.timeline_path = value("--timeline");
-        } else if (arg == "--fleet-bin") {
-            opt.fleet_bin = value("--fleet-bin");
-        } else if (arg == "--devices") {
-            if (!parse_u64(value("--devices"), opt.fleet.devices) || opt.fleet.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), opt.fleet.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            std::uint64_t c = 0;
-            if (!parse_u64(value("--cohorts"), c) || c < 1 || c > 4096) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-            opt.fleet.cohorts = static_cast<unsigned>(c);
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), opt.fleet.days) || opt.fleet.days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--baseline") {
-            if (!parse_double(value("--baseline"), opt.fleet.baseline_fraction) ||
-                opt.fleet.baseline_fraction < 0 || opt.fleet.baseline_fraction > 1) {
-                std::cerr << "--baseline: expected a fraction in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), opt.fleet.engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--workers") {
-            std::uint64_t w = 0;
-            if (!parse_u64(value("--workers"), w) || w < 1 || w > 256) {
-                std::cerr << "--workers: expected a count in [1, 256]\n";
-                return 2;
-            }
-            opt.workers = static_cast<unsigned>(w);
-        } else if (arg == "--worker-threads") {
-            std::uint64_t t = 0;
-            if (!parse_u64(value("--worker-threads"), t) || t > 1024) {
-                std::cerr << "--worker-threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-            opt.worker_threads = static_cast<unsigned>(t);
-        } else if (arg == "--dir") {
-            opt.dir = value("--dir");
-        } else if (arg == "--json") {
-            opt.json_path = value("--json");
-        } else if (arg == "--store") {
-            opt.store_path = value("--store");
-        } else if (arg == "--report") {
-            report_path = value("--report");
-        } else if (arg == "--heartbeat") {
-            if (!parse_double(value("--heartbeat"), opt.heartbeat_s) || opt.heartbeat_s <= 0) {
-                std::cerr << "--heartbeat: expected a positive period in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--timeout") {
-            if (!parse_double(value("--timeout"), opt.timeout_s) || opt.timeout_s <= 0) {
-                std::cerr << "--timeout: expected a positive window in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--grace") {
-            if (!parse_double(value("--grace"), opt.term_grace_s) || opt.term_grace_s < 0) {
-                std::cerr << "--grace: expected a non-negative window in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--backoff") {
-            const std::string v = value("--backoff");
-            const auto slash = v.find('/');
-            if (slash == std::string::npos ||
-                !parse_double(v.substr(0, slash), opt.backoff_base_s) ||
-                !parse_double(v.substr(slash + 1), opt.backoff_max_s) ||
-                opt.backoff_base_s <= 0 || opt.backoff_max_s < opt.backoff_base_s) {
-                std::cerr << "--backoff: expected BASE/MAX seconds with 0 < BASE <= MAX\n";
-                return 2;
-            }
-        } else if (arg == "--retries") {
-            std::uint64_t r = 0;
-            if (!parse_u64(value("--retries"), r) || r > 10000) {
-                std::cerr << "--retries: expected a count in [0, 10000]\n";
-                return 2;
-            }
-            opt.retries = static_cast<unsigned>(r);
-        } else if (arg == "--chaos") {
-            if (!parse_chaos(value("--chaos"), opt)) {
-                std::cerr << "--chaos: expected kills=K[,stalls=S][,seed=N]\n";
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::Cli cli("ulpmc-farm", "--timeline FILE --fleet-bin PATH [options]");
+    cli.text("--timeline", "FILE", "phase script (required)", opt.timeline_path)
+        .text("--fleet-bin", "PATH", "ulpmc-fleet worker binary (required)", opt.fleet_bin)
+        .integer("--devices", "N", "GLOBAL fleet size (default 1000)", opt.fleet.devices, 1,
+                 ~0ull)
+        .seed(opt.fleet.seed)
+        .integer("--cohorts", "N", "workload cohorts (default 8)", opt.fleet.cohorts, 1, 4096)
+        .real("--days", "D", "per-device lifetime (default: one pass)", opt.fleet.days, 0, kInf,
+              true)
+        .real("--baseline", "F", "baseline-policy fraction (default 0.25)",
+              opt.fleet.baseline_fraction, 0, 1);
+    ulpmc::cluster::add_engine_flag(cli, opt.fleet.engine);
+    cli.integer("--workers", "N", "shard worker processes (default 4)", opt.workers, 1, 256)
+        .integer("--worker-threads", "N", "threads per worker, 0 = hardware (default 0)",
+                 opt.worker_threads, 0, 1024)
+        .text("--dir", "DIR", "scratch dir for shard_K.{jnl,json,ulpf,log} (default farm)",
+              opt.dir)
+        .json(opt.json_path)
+        .text("--store", "FILE", "merged ULPF store (byte-identical to unsharded)",
+              opt.store_path)
+        .text("--report", "FILE", "supervision report JSON ('-' = stdout)", report_path)
+        .real("--heartbeat", "S", "worker heartbeat period (default 0.5)", opt.heartbeat_s, 0,
+              kInf, true)
+        .real("--timeout", "S", "no-journal-growth window before SIGTERM (default 10)",
+              opt.timeout_s, 0, kInf, true)
+        .real("--grace", "S", "SIGTERM -> SIGKILL escalation grace (default 2)",
+              opt.term_grace_s, 0, kInf)
+        .custom("--backoff", "BASE/MAX", "restart backoff bounds in seconds (default 0.25/8)", 1,
+                [&](const std::vector<std::string>& v) {
+                    const std::string_view s(v[0]);
+                    const auto slash = s.find('/');
+                    if (slash == std::string::npos ||
+                        !ulpmc::read_f64(s.substr(0, slash), 0, kInf, true, opt.backoff_base_s)
+                             .empty() ||
+                        !ulpmc::read_f64(s.substr(slash + 1), 0, kInf, true, opt.backoff_max_s)
+                             .empty() ||
+                        opt.backoff_max_s < opt.backoff_base_s)
+                        return std::string("expected BASE/MAX seconds with 0 < BASE <= MAX");
+                    return std::string();
+                })
+        .integer("--retries", "N", "restarts allowed per shard (default 8)", opt.retries, 0,
+                 10000)
+        .custom("--chaos", "kills=K[,stalls=S][,seed=N]",
+                "SIGKILL/SIGSTOP own workers at seeded progress points", 1,
+                [&](const std::vector<std::string>& v) {
+                    return parse_chaos(v[0], opt)
+                               ? std::string()
+                               : std::string("expected kills=K[,stalls=S][,seed=N]");
+                });
+    cli.parse(argc, argv);
     if (opt.timeline_path.empty() || opt.fleet_bin.empty()) {
-        std::cerr << "--timeline and --fleet-bin are required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline and --fleet-bin are required\n" << cli.usage();
         return 2;
     }
 

@@ -9,26 +9,16 @@
 // merged by tools/merge_fleet.py reproduce the unsharded bytes).
 //
 // Usage:
-//   ulpmc-fleet --timeline FILE [options]
-//     --timeline FILE   phase script (required)
-//     --devices N       GLOBAL fleet size across all shards (default 1000)
-//     --seed N          fleet master seed (default 1)
-//     --cohorts N       workload cohorts / patients (default 8)
-//     --days D          per-device lifetime in days (default: one pass)
-//     --baseline F      fraction of devices on the baseline policy (default 0.25)
-//     --engine E        reference|fast|trace|batched (default trace)
-//     --threads N       worker threads, 0 = hardware (default 0)
-//     --shard K/N       run shard K of N (devices with gdi % N == K)
-//     --json FILE       write the deterministic artifact to FILE ('-' = stdout)
-//     --store FILE      write the per-device binary record store to FILE
-//     --journal FILE    append one durable frame per finished device to FILE
-//     --resume FILE     replay FILE's intact frames, then continue journaling
-//                       to it (missing file: fresh run). The journal binds to
-//                       the run's options and timeline bytes; a mismatch is a
-//                       usage error, never a silent partial replay.
-//     --heartbeat S     append a liveness heartbeat frame to the journal every
-//                       S seconds (requires --journal/--resume) so a farm
-//                       supervisor can tell "slow device" from "hung worker"
+//   ulpmc-fleet --timeline FILE [options]    (ulpmc-fleet --help lists them)
+//
+// --devices is the GLOBAL fleet size across all shards; --shard K/N runs
+// the devices with gdi % N == K. --journal FILE appends one durable frame
+// per finished device; --resume FILE replays FILE's intact frames, then
+// continues journaling to it (missing file: fresh run). The journal binds
+// to the run's options and timeline bytes; a mismatch is a usage error,
+// never a silent partial replay. --heartbeat S appends a liveness frame to
+// the journal every S seconds so a farm supervisor can tell "slow device"
+// from "hung worker".
 //
 // SIGTERM/SIGINT preempt gracefully: in-flight devices finish and their
 // frames reach the journal, then the run exits 3 without writing the
@@ -43,11 +33,10 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,7 +44,7 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32.hpp"
+#include "common/cli.hpp"
 #include "common/journal.hpp"
 #include "common/serial.hpp"
 #include "fleet/fleet.hpp"
@@ -77,30 +66,11 @@ struct Preempted {};
 
 void on_preempt_signal(int) { g_preempt = 1; }
 
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-fleet --timeline FILE [--devices N] [--seed N] [--cohorts N]\n"
-          "                   [--days D] [--baseline F] [--engine E] [--threads N]\n"
-          "                   [--shard K/N] [--json FILE] [--store FILE]\n"
-          "                   [--journal FILE | --resume FILE] [--heartbeat S]\n";
-}
-
-/// CRC over the timeline's raw bytes: the journal must not resume against
-/// an edited script (same path, different phases -> different devices).
-bool file_crc32(const std::string& path, std::uint32_t& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-    out = ulpmc::crc32(bytes.data(), bytes.size());
-    return true;
-}
-
-/// Everything a journaled record depends on. `threads` is deliberately
-/// absent: results are thread-count-independent, so a resume may use a
-/// different worker count than the run it continues.
-std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt,
-                                       std::uint32_t timeline_crc) {
+/// Everything a journaled record depends on besides the timeline bytes.
+/// `threads` is deliberately absent: results are thread-count-
+/// independent, so a resume may use a different worker count than the
+/// run it continues.
+std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt) {
     std::vector<std::uint8_t> m;
     ulpmc::put_raw(m, opt.seed);
     ulpmc::put_raw(m, opt.devices);
@@ -110,143 +80,51 @@ std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt,
     ulpmc::put_f64(m, opt.days);
     ulpmc::put_f64(m, opt.baseline_fraction);
     ulpmc::put_raw(m, static_cast<std::uint8_t>(opt.engine));
-    ulpmc::put_raw(m, timeline_crc);
     return m;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_shard(const std::string& s, unsigned& k, unsigned& n) {
-    const auto slash = s.find('/');
-    if (slash == std::string::npos) return false;
-    std::uint64_t uk = 0, un = 0;
-    if (!parse_u64(s.substr(0, slash), uk) || !parse_u64(s.substr(slash + 1), un)) return false;
-    if (un < 1 || uk >= un) return false;
-    k = static_cast<unsigned>(uk);
-    n = static_cast<unsigned>(un);
-    return true;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    std::string timeline_path, json_path, store_path, journal_path;
-    bool resume = false;
+    std::string timeline_path, json_path, store_path, journal_path, resume_path;
     double heartbeat_s = 0;
     ulpmc::fleet::FleetOptions opt;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            timeline_path = value("--timeline");
-        } else if (arg == "--devices") {
-            if (!parse_u64(value("--devices"), opt.devices) || opt.devices < 1) {
-                std::cerr << "--devices: expected a positive count\n";
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), opt.seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--cohorts") {
-            std::uint64_t c = 0;
-            if (!parse_u64(value("--cohorts"), c) || c < 1 || c > 4096) {
-                std::cerr << "--cohorts: expected a count in [1, 4096]\n";
-                return 2;
-            }
-            opt.cohorts = static_cast<unsigned>(c);
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), opt.days) || opt.days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--baseline") {
-            if (!parse_double(value("--baseline"), opt.baseline_fraction) ||
-                opt.baseline_fraction < 0 || opt.baseline_fraction > 1) {
-                std::cerr << "--baseline: expected a fraction in [0, 1]\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), opt.engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            std::uint64_t t = 0;
-            if (!parse_u64(value("--threads"), t) || t > 1024) {
-                std::cerr << "--threads: expected a count in [0, 1024]\n";
-                return 2;
-            }
-            opt.threads = static_cast<unsigned>(t);
-        } else if (arg == "--shard") {
-            if (!parse_shard(value("--shard"), opt.shard_k, opt.shard_n)) {
-                std::cerr << "--shard: expected K/N with 0 <= K < N\n";
-                return 2;
-            }
-        } else if (arg == "--json") {
-            json_path = value("--json");
-        } else if (arg == "--store") {
-            store_path = value("--store");
-        } else if (arg == "--journal") {
-            journal_path = value("--journal");
-        } else if (arg == "--resume") {
-            journal_path = value("--resume");
-            resume = true;
-        } else if (arg == "--heartbeat") {
-            if (!parse_double(value("--heartbeat"), heartbeat_s) || heartbeat_s <= 0) {
-                std::cerr << "--heartbeat: expected a positive period in seconds\n";
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::Cli cli("ulpmc-fleet", "--timeline FILE [options]");
+    cli.text("--timeline", "FILE", "phase script (required)", timeline_path)
+        .integer("--devices", "N", "GLOBAL fleet size across all shards (default 1000)",
+                 opt.devices, 1, ~0ull)
+        .seed(opt.seed)
+        .integer("--cohorts", "N", "workload cohorts / patients (default 8)", opt.cohorts, 1,
+                 4096)
+        .real("--days", "D", "per-device lifetime in days (default: one pass)", opt.days, 0, kInf,
+              true)
+        .real("--baseline", "F", "fraction of devices on the baseline policy (default 0.25)",
+              opt.baseline_fraction, 0, 1);
+    ulpmc::cluster::add_engine_flag(cli, opt.engine);
+    cli.threads(opt.threads)
+        .shard(opt.shard_k, opt.shard_n)
+        .json(json_path)
+        .text("--store", "FILE", "write the per-device binary record store to FILE", store_path)
+        .text("--journal", "FILE", "append one durable frame per finished device to FILE",
+              journal_path)
+        .text("--resume", "FILE", "replay FILE's intact frames, then keep journaling to it",
+              resume_path)
+        .real("--heartbeat", "S", "journal a liveness frame every S seconds", heartbeat_s, 0,
+              kInf, true);
+    cli.parse(argc, argv);
     if (timeline_path.empty()) {
-        std::cerr << "--timeline is required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline is required\n" << cli.usage();
         return 2;
     }
-    if (seen.count("--journal") && seen.count("--resume")) {
+    if (cli.given("--journal") && cli.given("--resume")) {
         std::cerr << "--journal and --resume are mutually exclusive "
                      "(--resume already journals to its file)\n";
         return 2;
     }
+    const bool resume = cli.given("--resume");
+    if (resume) journal_path = resume_path;
     if (heartbeat_s > 0 && journal_path.empty()) {
         std::cerr << "--heartbeat requires --journal or --resume "
                      "(heartbeats are journal frames)\n";
@@ -265,70 +143,31 @@ int main(int argc, char** argv) {
     std::unique_ptr<ulpmc::JournalWriter> journal;
     std::unordered_map<std::uint64_t, ulpmc::fleet::DeviceRecord> replay;
     if (!journal_path.empty()) {
-        std::uint32_t tl_crc = 0;
-        if (!file_crc32(timeline_path, tl_crc)) {
-            std::cerr << timeline_path << ": cannot re-read for journal binding\n";
-            return 2;
-        }
-        const std::vector<std::uint8_t> meta = meta_payload(opt, tl_crc);
-        std::uint64_t keep = 0;
-        bool have_meta = false;
-        if (resume) {
-            ulpmc::JournalContents jc;
-            bool exists = true;
-            try {
-                jc = ulpmc::read_journal(journal_path);
-            } catch (const ulpmc::JournalError&) {
-                exists = false;
-                std::cerr << "note: " << journal_path << ": no journal yet, starting fresh\n";
-            }
-            if (exists && !jc.frames.empty()) {
-                if (jc.frames[0].kind != kFleetMetaFrame || jc.frames[0].payload != meta) {
-                    std::cerr << journal_path
-                              << ": journal was written by a different run "
-                                 "(options or timeline changed); refusing to resume\n";
-                    return 2;
-                }
-                have_meta = true;
-                std::uint64_t skipped = 0;
-                for (std::size_t f = 1; f < jc.frames.size(); ++f) {
-                    const ulpmc::JournalFrame& fr = jc.frames[f];
-                    ulpmc::fleet::DeviceRecord r;
-                    if (fr.kind != kFleetRecordFrame) {
-                        // Forward compatibility: a kind this binary does not
-                        // know (a heartbeat, or a frame from a newer writer)
-                        // carries no replay state — skip it, don't die on it.
-                        if (fr.kind != kFleetHeartbeatFrame) ++skipped;
-                        continue;
-                    }
-                    if (fr.payload.size() != sizeof(r)) {
-                        std::cerr << journal_path << ": frame " << f << ": record payload is "
-                                  << fr.payload.size() << " bytes, expected " << sizeof(r)
-                                  << "; refusing to resume\n";
-                        return 2;
-                    }
-                    std::memcpy(&r, fr.payload.data(), sizeof(r));
-                    if (r.gdi >= opt.devices || r.gdi % opt.shard_n != opt.shard_k) {
-                        std::cerr << journal_path << ": journaled device " << r.gdi
-                                  << " is outside this shard; refusing to resume\n";
-                        return 2;
-                    }
-                    replay[r.gdi] = r;
-                }
-                keep = jc.clean_bytes;
-                if (jc.torn_tail)
-                    std::cerr << "note: " << journal_path
-                              << ": dropping torn frame after " << keep << " bytes\n";
-                if (skipped > 0)
-                    std::cerr << "note: " << journal_path << ": skipping " << skipped
-                              << " frame(s) of unknown kind (newer writer?)\n";
-                std::cerr << "note: resuming with " << replay.size()
-                          << " journaled device(s)\n";
-            }
-        }
+        const auto adopt = [&](std::size_t f, const ulpmc::JournalFrame& fr) {
+            // A heartbeat carries no replay state; any other kind but a
+            // record is unknown to this binary.
+            if (fr.kind != kFleetRecordFrame) return fr.kind == kFleetHeartbeatFrame;
+            ulpmc::fleet::DeviceRecord r;
+            if (fr.payload.size() != sizeof(r))
+                throw ulpmc::JournalError(
+                    journal_path + ": frame " + std::to_string(f) + ": record payload is " +
+                    std::to_string(fr.payload.size()) + " bytes, expected " +
+                    std::to_string(sizeof(r)) + "; refusing to resume");
+            std::memcpy(&r, fr.payload.data(), sizeof(r));
+            if (r.gdi >= opt.devices || r.gdi % opt.shard_n != opt.shard_k)
+                throw ulpmc::JournalError(journal_path + ": journaled device " +
+                                          std::to_string(r.gdi) +
+                                          " is outside this shard; refusing to resume");
+            replay[r.gdi] = r;
+            return true;
+        };
         try {
-            journal = std::make_unique<ulpmc::JournalWriter>(journal_path, keep);
-            if (!have_meta) journal->append(kFleetMetaFrame, meta);
+            ulpmc::RunJournal rj = ulpmc::open_run_journal(
+                journal_path, resume, timeline_path, kFleetMetaFrame, meta_payload(opt), adopt,
+                std::cerr);
+            if (rj.resumed)
+                std::cerr << "note: resuming with " << replay.size() << " journaled device(s)\n";
+            journal = std::move(rj.writer);
         } catch (const ulpmc::JournalError& e) {
             std::cerr << e.what() << "\n";
             return 2;

@@ -7,20 +7,13 @@
 // is byte-identical across simulator engine tiers and thread counts.
 //
 // Usage:
-//   ulpmc-life --timeline FILE [options]
-//     --timeline FILE   phase script (required)
-//     --seed N          campaign seed (default 1)
-//     --engine E        reference|fast|trace|batched (default trace)
-//     --days D          simulate D days, cycling the script (default: one pass)
-//     --policy P        ladder|baseline|both (default both)
-//     --threads N       worker threads, 0 = hardware (default 0)
-//     --json FILE       write the report JSON to FILE ('-' = stdout)
-//     --journal FILE    append one durable frame per simulated chunk to FILE
-//     --resume FILE     replay FILE's intact frames (restarting each policy
-//                       from its last journaled chunk boundary), then continue
-//                       journaling to it (missing file: fresh run). The
-//                       journal binds to the run's options and timeline
-//                       bytes; a mismatch is a usage error.
+//   ulpmc-life --timeline FILE [options]     (ulpmc-life --help lists them)
+//
+// --journal FILE appends one durable frame per simulated chunk. --resume
+// FILE replays FILE's intact frames (restarting each policy from its last
+// journaled chunk boundary), then continues journaling to it (missing
+// file: fresh run). The journal binds to the run's options and timeline
+// bytes; a mismatch is a usage error.
 //
 // SIGTERM/SIGINT preempt gracefully: the in-flight chunk finishes and its
 // frame reaches the journal, then the run exits 3 without writing the
@@ -31,16 +24,15 @@
 // inconsistent options, unreadable or corrupt timeline/journal),
 // 3 preempted by SIGTERM/SIGINT (journal flushed, artifacts unwritten).
 #include <csignal>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32.hpp"
+#include "common/cli.hpp"
 #include "common/journal.hpp"
 #include "common/serial.hpp"
 #include "scenario/engine.hpp"
@@ -62,55 +54,19 @@ struct Preempted {};
 
 void on_preempt_signal(int) { g_preempt = 1; }
 
-void usage(std::ostream& os) {
-    os << "usage: ulpmc-life --timeline FILE [--seed N] [--engine E] [--days D]\n"
-          "                  [--policy ladder|baseline|both] [--threads N] [--json FILE]\n"
-          "                  [--journal FILE | --resume FILE]\n";
-}
-
-bool file_crc32(const std::string& path, std::uint32_t& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-    out = ulpmc::crc32(bytes.data(), bytes.size());
-    return true;
-}
-
-/// Everything a journaled chunk state depends on (`threads` deliberately
-/// absent: results are thread-count-independent by construction).
+/// Everything a journaled chunk state depends on besides the timeline
+/// bytes (`threads` deliberately absent: results are thread-count-
+/// independent by construction).
 std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days,
                                        ulpmc::cluster::SimEngine engine, bool ladder,
-                                       bool baseline, std::uint32_t timeline_crc) {
+                                       bool baseline) {
     std::vector<std::uint8_t> m;
     ulpmc::put_raw(m, seed);
     ulpmc::put_f64(m, days);
     ulpmc::put_raw(m, static_cast<std::uint8_t>(engine));
     ulpmc::put_raw(m, static_cast<std::uint8_t>(ladder ? 1 : 0));
     ulpmc::put_raw(m, static_cast<std::uint8_t>(baseline ? 1 : 0));
-    ulpmc::put_raw(m, timeline_crc);
     return m;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool parse_double(const std::string& s, double& out) {
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size();
-    } catch (...) {
-        return false;
-    }
 }
 
 } // namespace
@@ -118,88 +74,41 @@ bool parse_double(const std::string& s, double& out) {
 int main(int argc, char** argv) {
     using ulpmc::scenario::Policy;
 
-    std::string timeline_path;
-    std::string json_path;
-    std::string journal_path;
-    bool resume = false;
+    std::string timeline_path, json_path, journal_path, resume_path;
     std::uint64_t seed = 1;
-    std::uint64_t threads = 0;
+    unsigned threads = 0;
     double days = 0;
     ulpmc::cluster::SimEngine engine = ulpmc::cluster::SimEngine::Trace;
     bool ladder = true, baseline = true;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        auto value = [&](const char* name) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << name << " requires a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--timeline") {
-            timeline_path = value("--timeline");
-        } else if (arg == "--seed") {
-            if (!parse_u64(value("--seed"), seed)) {
-                std::cerr << "--seed: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            if (!parse_u64(value("--threads"), threads)) {
-                std::cerr << "--threads: not a number\n";
-                return 2;
-            }
-        } else if (arg == "--days") {
-            if (!parse_double(value("--days"), days) || days <= 0) {
-                std::cerr << "--days: expected a positive number\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            if (!ulpmc::cluster::parse_engine(value("--engine"), engine)) {
-                std::cerr << "--engine: unknown engine (reference|fast|trace|batched)\n";
-                return 2;
-            }
-        } else if (arg == "--policy") {
-            const std::string p = value("--policy");
-            if (p == "ladder") {
-                baseline = false;
-            } else if (p == "baseline") {
-                ladder = false;
-            } else if (p != "both") {
-                std::cerr << "--policy: expected ladder, baseline or both\n";
-                return 2;
-            }
-        } else if (arg == "--json") {
-            json_path = value("--json");
-        } else if (arg == "--journal") {
-            journal_path = value("--journal");
-        } else if (arg == "--resume") {
-            journal_path = value("--resume");
-            resume = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << arg << ": unknown option\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    ulpmc::Cli cli("ulpmc-life", "--timeline FILE [options]");
+    cli.text("--timeline", "FILE", "phase script (required)", timeline_path).seed(seed);
+    ulpmc::cluster::add_engine_flag(cli, engine);
+    cli.real("--days", "D", "simulate D days, cycling the script (default: one pass)", days, 0,
+             std::numeric_limits<double>::infinity(), true)
+        .choice("--policy", "policies to run (default both)", {"ladder", "baseline", "both"},
+                [&](std::size_t i) {
+                    ladder = i != 1;
+                    baseline = i != 0;
+                })
+        .threads(threads)
+        .json(json_path)
+        .text("--journal", "FILE", "append one durable frame per simulated chunk to FILE",
+              journal_path)
+        .text("--resume", "FILE", "replay FILE's intact frames, then keep journaling to it",
+              resume_path);
+    cli.parse(argc, argv);
     if (timeline_path.empty()) {
-        std::cerr << "--timeline is required\n";
-        usage(std::cerr);
+        std::cerr << "--timeline is required\n" << cli.usage();
         return 2;
     }
-    if (seen.count("--journal") && seen.count("--resume")) {
+    if (cli.given("--journal") && cli.given("--resume")) {
         std::cerr << "--journal and --resume are mutually exclusive "
                      "(--resume already journals to its file)\n";
         return 2;
     }
+    const bool resume = cli.given("--resume");
+    if (resume) journal_path = resume_path;
 
     ulpmc::scenario::Timeline tl;
     try {
@@ -215,62 +124,19 @@ int main(int argc, char** argv) {
     std::unique_ptr<ulpmc::JournalWriter> journal;
     std::vector<std::uint8_t> replay_state[2]; // indexed by Policy
     if (!journal_path.empty()) {
-        std::uint32_t tl_crc = 0;
-        if (!file_crc32(timeline_path, tl_crc)) {
-            std::cerr << timeline_path << ": cannot re-read for journal binding\n";
-            return 2;
-        }
-        const std::vector<std::uint8_t> meta =
-            meta_payload(seed, days, engine, ladder, baseline, tl_crc);
-        std::uint64_t keep = 0;
-        bool have_meta = false;
-        if (resume) {
-            ulpmc::JournalContents jc;
-            bool exists = true;
-            try {
-                jc = ulpmc::read_journal(journal_path);
-            } catch (const ulpmc::JournalError&) {
-                exists = false;
-                std::cerr << "note: " << journal_path << ": no journal yet, starting fresh\n";
-            }
-            if (exists && !jc.frames.empty()) {
-                if (jc.frames[0].kind != kMetaFrame || jc.frames[0].payload != meta) {
-                    std::cerr << journal_path
-                              << ": journal was written by a different run "
-                                 "(options or timeline changed); refusing to resume\n";
-                    return 2;
-                }
-                have_meta = true;
-                std::uint64_t skipped = 0;
-                for (std::size_t f = 1; f < jc.frames.size(); ++f) {
-                    const ulpmc::JournalFrame& fr = jc.frames[f];
-                    if (fr.kind != kChunkFrame) {
-                        // Forward compatibility: frames of a kind this
-                        // binary does not know carry no replay state for
-                        // it — skip them rather than refusing the journal.
-                        ++skipped;
-                        continue;
-                    }
-                    if (fr.payload.size() < 2 || fr.payload[0] > 1) {
-                        std::cerr << journal_path << ": frame " << f
-                                  << ": malformed chunk payload; refusing to resume\n";
-                        return 2;
-                    }
-                    replay_state[fr.payload[0]].assign(fr.payload.begin() + 1,
-                                                       fr.payload.end());
-                }
-                keep = jc.clean_bytes;
-                if (jc.torn_tail)
-                    std::cerr << "note: " << journal_path
-                              << ": dropping torn frame after " << keep << " bytes\n";
-                if (skipped > 0)
-                    std::cerr << "note: " << journal_path << ": skipping " << skipped
-                              << " frame(s) of unknown kind (newer writer?)\n";
-            }
-        }
+        const auto replay = [&](std::size_t f, const ulpmc::JournalFrame& fr) {
+            if (fr.kind != kChunkFrame) return false;
+            if (fr.payload.size() < 2 || fr.payload[0] > 1)
+                throw ulpmc::JournalError(journal_path + ": frame " + std::to_string(f) +
+                                          ": malformed chunk payload; refusing to resume");
+            replay_state[fr.payload[0]].assign(fr.payload.begin() + 1, fr.payload.end());
+            return true;
+        };
         try {
-            journal = std::make_unique<ulpmc::JournalWriter>(journal_path, keep);
-            if (!have_meta) journal->append(kMetaFrame, meta);
+            journal = ulpmc::open_run_journal(journal_path, resume, timeline_path, kMetaFrame,
+                                              meta_payload(seed, days, engine, ladder, baseline),
+                                              replay, std::cerr)
+                          .writer;
         } catch (const ulpmc::JournalError& e) {
             std::cerr << e.what() << "\n";
             return 2;
@@ -279,7 +145,7 @@ int main(int argc, char** argv) {
 
     std::signal(SIGTERM, on_preempt_signal);
     std::signal(SIGINT, on_preempt_signal);
-    ulpmc::sweep::SweepRunner pool(static_cast<unsigned>(threads));
+    ulpmc::sweep::SweepRunner pool(threads);
     std::vector<ulpmc::scenario::LifetimeReport> runs;
     for (const Policy policy : {Policy::Ladder, Policy::Baseline}) {
         if (policy == Policy::Ladder && !ladder) continue;

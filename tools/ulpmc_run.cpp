@@ -1,43 +1,24 @@
 // ulpmc-run: execute a TamaRISC program image on the cycle-accurate
 // cluster and report what happened.
 //
-//   ulpmc-run prog.upmc [options]
-//     --arch mc-ref|ulpmc-int|ulpmc-bank   (default ulpmc-bank)
-//     --cores N                            (default 8)
-//     --shared W --private W               DM layout in words
-//                                          (default 64 / 1024)
-//     --engine reference|fast|trace|batched  simulator tier (default trace;
-//                                          results are identical, see
-//                                          DESIGN.md §10-11)
-//     --batch B                            lanes under --engine batched
-//                                          (default 8)
-//     --ecc                                SEC-DED on every memory bank
-//     --regprot none|parity|tmr            register-file protection mode
-//     --im-scrub                           idle-cycle IM scrub walker
-//     --dm-scrub                           idle-cycle DM scrub walker
-//     --xbar-selfcheck                     self-checking crossbar arbiters
-//     --watchdog N                         stuck-core trap after N idle cycles
-//     --trace N                            print the last N trace events
-//     --dump ADDR LEN                      dump core 0's memory after run
-//     --max-cycles N                       safety limit (default 10M)
+//   ulpmc-run prog.upmc [options]      (ulpmc-run --help lists them)
 //
 // Assembly sources are also accepted directly (detected by extension).
-// Every option may be given at most once, and --batch is only meaningful
-// under --engine batched — violations are rejected with a one-line error.
+// Results are identical across --engine tiers (DESIGN.md §10-11); --batch
+// sets the lanes of --engine batched and is refused under any other tier.
 // Exit codes: 0 all cores halted, 1 load error, 2 bad usage (malformed,
 // duplicate or inconsistent options), 3 a core trapped (name printed),
 // 4 the max-cycles limit was hit.
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cluster/batched.hpp"
 #include "cluster/cluster.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "isa/assembler.hpp"
 #include "isa/binfmt.hpp"
@@ -45,40 +26,9 @@
 
 using namespace ulpmc;
 
-namespace {
-
-int usage() {
-    std::cerr << "usage: ulpmc-run <prog.upmc|prog.asm> [--arch A] [--cores N]\n"
-                 "                 [--shared W] [--private W] [--engine E] [--batch B]\n"
-                 "                 [--ecc]\n"
-                 "                 [--regprot none|parity|tmr] [--im-scrub] [--dm-scrub]\n"
-                 "                 [--xbar-selfcheck] [--watchdog N]\n"
-                 "                 [--trace N] [--dump ADDR LEN] [--max-cycles N]\n";
-    return 2;
-}
-
-/// Strict decimal parse with range check; exits with a clear message on
-/// anything malformed (no silent wrap, no std::stoul aborts).
-std::uint64_t parse_num(const std::string& arg, const std::string& value, std::uint64_t min,
-                        std::uint64_t max) {
-    std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc{} || p != value.data() + value.size()) {
-        std::cerr << arg << ": '" << value << "' is not a number\n";
-        std::exit(2);
-    }
-    if (v < min || v > max) {
-        std::cerr << arg << ": " << v << " out of range [" << min << ", " << max << "]\n";
-        std::exit(2);
-    }
-    return v;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
-    std::string input;
-    std::string arch_name = "ulpmc-bank";
+    std::vector<std::string> inputs;
+    cluster::ArchKind kind = cluster::ArchKind::UlpmcBank;
     unsigned cores = kNumCores;
     Addr shared_words = 64;
     Addr private_words = 1024;
@@ -89,86 +39,53 @@ int main(int argc, char** argv) {
     core::RegProtection regprot = core::RegProtection::None;
     cluster::SimEngine engine = cluster::SimEngine::Trace;
     unsigned batch = 8;
-    bool batch_given = false;
     Cycle watchdog = 0;
     std::size_t trace_n = 0;
     long dump_addr = -1;
     unsigned dump_len = 0;
     Cycle max_cycles = 10'000'000;
 
-    std::set<std::string> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // Repeating an option is always a mistake (the second occurrence
-        // would silently win) — reject it instead of guessing intent.
-        if (!arg.empty() && arg[0] == '-' && !seen.insert(arg).second) {
-            std::cerr << arg << ": duplicate option\n";
-            return 2;
-        }
-        const auto next = [&](const char* what) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs " << what << '\n';
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--arch") {
-            arch_name = next("a name");
-        } else if (arg == "--cores") {
-            cores = static_cast<unsigned>(parse_num(arg, next("a count"), 1, kNumCores));
-        } else if (arg == "--shared") {
-            shared_words =
-                static_cast<Addr>(parse_num(arg, next("words"), 0, kDmWordsTotal));
-        } else if (arg == "--private") {
-            private_words =
-                static_cast<Addr>(parse_num(arg, next("words"), 1, kDmWordsTotal));
-        } else if (arg == "--ecc") {
-            ecc = true;
-        } else if (arg == "--im-scrub") {
-            im_scrub = true;
-        } else if (arg == "--dm-scrub") {
-            dm_scrub = true;
-        } else if (arg == "--xbar-selfcheck") {
-            xbar_self_check = true;
-        } else if (arg == "--regprot") {
-            const std::string name = next("none|parity|tmr");
-            if (!core::parse_reg_protection(name.c_str(), regprot)) {
-                std::cerr << "unknown protection mode '" << name
-                          << "' (expected none, parity or tmr)\n";
-                return 2;
-            }
-        } else if (arg == "--engine") {
-            const std::string name = next("reference|fast|trace|batched");
-            if (!cluster::parse_engine(name, engine)) {
-                std::cerr << "unknown engine '" << name
-                          << "' (expected reference, fast, trace or batched)\n";
-                return 2;
-            }
-        } else if (arg == "--batch") {
-            batch = static_cast<unsigned>(parse_num(arg, next("a lane count"), 1, 4096));
-            batch_given = true;
-        } else if (arg == "--watchdog") {
-            watchdog = parse_num(arg, next("a cycle count"), 1, 1'000'000'000);
-        } else if (arg == "--trace") {
-            trace_n = parse_num(arg, next("a count"), 0, 1'000'000);
-        } else if (arg == "--dump") {
-            dump_addr = static_cast<long>(parse_num(arg, next("an address"), 0, kDmWordsTotal));
-            dump_len = static_cast<unsigned>(parse_num(arg, next("a length"), 1, kDmWordsTotal));
-        } else if (arg == "--max-cycles") {
-            max_cycles = parse_num(arg, next("a count"), 1, ~0ull);
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            if (!input.empty()) {
-                std::cerr << "more than one program file given ('" << input << "' and '" << arg
-                          << "')\n";
-                return 2;
-            }
-            input = arg;
-        }
+    Cli cli("ulpmc-run", "<prog.upmc|prog.asm> [options]");
+    cli.positionals(inputs)
+        .choice("--arch", "architecture (default ulpmc-bank)", kind, cluster::kArchKindCount,
+                cluster::arch_name)
+        .integer("--cores", "N", "active cores (default 8)", cores, 1, kNumCores)
+        .integer("--shared", "W", "shared DM words (default 64)", shared_words, 0, kDmWordsTotal)
+        .integer("--private", "W", "private DM words per core (default 1024)", private_words, 1,
+                 kDmWordsTotal);
+    cluster::add_engine_flag(cli, engine);
+    cli.integer("--batch", "B", "lanes under --engine batched (default 8)", batch, 1, 4096)
+        .toggle("--ecc", "SEC-DED on every memory bank", ecc)
+        .choice("--regprot", "register-file protection (default none)", regprot,
+                static_cast<unsigned>(core::RegProtection::Tmr) + 1, core::reg_protection_name)
+        .toggle("--im-scrub", "idle-cycle IM scrub walker", im_scrub)
+        .toggle("--dm-scrub", "idle-cycle DM scrub walker", dm_scrub)
+        .toggle("--xbar-selfcheck", "self-checking crossbar arbiters", xbar_self_check)
+        .integer("--watchdog", "N", "stuck-core trap after N idle cycles", watchdog, 1,
+                 1'000'000'000)
+        .integer("--trace", "N", "print the last N trace events", trace_n, 0, 1'000'000)
+        .custom("--dump", "ADDR LEN", "dump core 0's memory after the run", 2,
+                [&](const std::vector<std::string>& v) {
+                    std::uint64_t addr = 0, len = 0;
+                    std::string err = read_u64(v[0], 0, kDmWordsTotal, addr);
+                    if (err.empty()) err = read_u64(v[1], 1, kDmWordsTotal, len);
+                    dump_addr = static_cast<long>(addr);
+                    dump_len = static_cast<unsigned>(len);
+                    return err;
+                })
+        .integer("--max-cycles", "N", "safety limit (default 10M)", max_cycles, 1, ~0ull);
+    cli.parse(argc, argv);
+    if (inputs.size() > 1) {
+        std::cerr << "more than one program file given ('" << inputs[0] << "' and '"
+                  << inputs[1] << "')\n";
+        return 2;
     }
-    if (input.empty()) return usage();
-    if (batch_given && engine != cluster::SimEngine::Batched) {
+    if (inputs.empty()) {
+        std::cerr << cli.usage();
+        return 2;
+    }
+    const std::string& input = inputs[0];
+    if (cli.given("--batch") && engine != cluster::SimEngine::Batched) {
         std::cerr << "--batch requires --engine batched (lanes only exist in the batched tier)\n";
         return 2;
     }
@@ -216,16 +133,6 @@ int main(int argc, char** argv) {
     }
 
     // --- configure the cluster ----------------------------------------------
-    cluster::ArchKind kind = cluster::ArchKind::UlpmcBank;
-    if (arch_name == "mc-ref") {
-        kind = cluster::ArchKind::McRef;
-    } else if (arch_name == "ulpmc-int") {
-        kind = cluster::ArchKind::UlpmcInt;
-    } else if (arch_name != "ulpmc-bank") {
-        std::cerr << "unknown architecture '" << arch_name
-                  << "' (expected mc-ref, ulpmc-int or ulpmc-bank)\n";
-        return 2;
-    }
     if (shared_words + static_cast<std::size_t>(private_words) * cores > kDmWordsTotal) {
         std::cerr << "DM layout does not fit: " << shared_words << " shared + " << private_words
                   << " private x " << cores << " cores > " << kDmWordsTotal << " words\n";
