@@ -20,10 +20,11 @@
 //
 // Usage: ext_fault_campaign [options]   (--help lists them)
 //
-// --engine batched runs every campaign through the lockstep-sharing tier
-// (DESIGN.md §11): outcome/energy tables stay byte-identical to trace,
-// only wall-clock changes, and the JSON artifact gains per-campaign
-// batch_lockstep_cycles / batch_lane_peels / batch_peel_reasons fields.
+// --batch B runs the one-shot and streaming campaigns with lockstep
+// sharing over B lanes (DESIGN.md §11; trace tier only): outcome/energy
+// tables stay byte-identical, only wall-clock changes, and the JSON
+// artifact gains per-campaign batch_lockstep_cycles / batch_lane_peels /
+// batch_peel_reasons fields.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -119,9 +120,9 @@ void write_json(std::ostream& os, const std::vector<TaggedResult>& results, unsi
                << "\": " << r.counts[o];
         }
         os << "}, \"coverage\": " << r.coverage();
-        // Batched-engine observability only: the trace/reference artifact
-        // stays byte-for-byte what the committed baselines expect.
-        if (r.cfg.engine == cluster::SimEngine::Batched) {
+        // Batching observability only: the un-batched artifact stays
+        // byte-for-byte what the committed baselines expect.
+        if (r.cfg.batch > 0) {
             os << ",\n     \"batch_lockstep_cycles\": " << r.batch_lockstep_cycles
                << ", \"batch_lane_peels\": " << r.batch_lane_peels
                << ", \"batch_peel_reasons\": {";
@@ -150,9 +151,15 @@ int main(int argc, char** argv) {
         .seed(cfg.seed)
         .json(json_path);
     cluster::add_engine_flag(cli, cfg.engine);
-    cli.integer("--batch", "B", "lanes under --engine batched (default 8)", cfg.batch, 1, 4096)
+    cli.integer("--batch", "B", "run campaigns as B lockstep lanes (trace tier only)", cfg.batch,
+                1, 4096)
         .shard(cfg.shard_index, cfg.shard_count);
     cli.parse(argc, argv);
+    if (cfg.batch > 0 && cfg.engine == cluster::SimEngine::Reference) {
+        std::cerr << "--batch is not available under --engine reference (the oracle tier stays "
+                     "un-batched)\n";
+        return 2;
+    }
 
     exp::print_experiment_header("Extension: fault-injection campaigns",
                                  "beyond the paper (dependability axis, DESIGN.md §9)");

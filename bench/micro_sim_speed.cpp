@@ -139,9 +139,9 @@ BENCHMARK(BM_FunctionalCoreRunBlocks);
 // ulpmc-int cluster on an endless store/loop kernel. With staggered starts
 // the PCs spread over the interleaved IM banks, so fetch and private-data
 // traffic are conflict-free — the case the pre-decoded IM and the
-// claim-bitmask arbiter are built for. `fast` and `slow` run the identical
-// configuration with the fast path on/off (the slow path IS the old
-// engine), so the ratio of the two is the measured speedup.
+// claim-bitmask arbiter are built for. `trace` and `slow` run the identical
+// configuration on the trace and reference tiers (the reference tier IS the
+// old engine), so the ratio of the two is the measured speedup.
 void BM_ClusterStep(benchmark::State& state, cluster::SimEngine engine, bool stagger) {
     const auto prog = isa::assemble(R"(
             movi r1, 512
@@ -172,9 +172,8 @@ void BM_ClusterStep(benchmark::State& state, cluster::SimEngine engine, bool sta
         benchmark::Counter(static_cast<double>(fetches), benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_trace, cluster::SimEngine::Trace, true);
-BENCHMARK_CAPTURE(BM_ClusterStep, int8_fast, cluster::SimEngine::Fast, true);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_slow, cluster::SimEngine::Reference, true);
-BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_fast, cluster::SimEngine::Fast, false);
+BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_trace, cluster::SimEngine::Trace, false);
 BENCHMARK_CAPTURE(BM_ClusterStep, int8_lockstep_slow, cluster::SimEngine::Reference, false);
 
 // The trace engine's acceptance workload (DESIGN.md §10): a single active
@@ -220,7 +219,6 @@ void BM_ClusterRunConflictFree(benchmark::State& state, cluster::SimEngine engin
         benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_ClusterRunConflictFree, trace, cluster::SimEngine::Trace);
-BENCHMARK_CAPTURE(BM_ClusterRunConflictFree, fast, cluster::SimEngine::Fast);
 BENCHMARK_CAPTURE(BM_ClusterRunConflictFree, reference, cluster::SimEngine::Reference);
 
 void BM_ClusterCycle(benchmark::State& state) {
@@ -283,23 +281,21 @@ void BM_Sweep(benchmark::State& state, unsigned threads) {
 BENCHMARK_CAPTURE(BM_Sweep, pool1, 1u);
 BENCHMARK_CAPTURE(BM_Sweep, pool_hw, 0u);
 
-// Campaign throughput (DESIGN.md §11): the batched engine vs the trace
-// tier on identical fault campaigns — byte-identical outcome tables,
-// wall-clock is the only difference, so the pair ratio IS the engine
-// speedup. `streaming_*` is the fleet shape the batched tier targets
-// (sparse strikes over a long stream, clean prefix/tail memoized):
-// one resilient SEU row plus one checkpointed burst row. `oneshot_*`
-// is the run-to-completion shape where every injection diverges for
-// good — the ratio there hovers near 1 and guards against the batched
-// bookkeeping ever making campaigns slower than trace.
-void BM_CampaignThroughput(benchmark::State& state, cluster::SimEngine engine, bool streaming) {
+// Campaign throughput (DESIGN.md §11): batched (--batch 8) vs per-injection
+// campaigns on the trace tier — byte-identical outcome tables, wall-clock
+// is the only difference, so the pair ratio IS the batching speedup.
+// `streaming_*` is the fleet shape batching targets (sparse strikes over a
+// long stream, clean prefix/tail memoized): one resilient SEU row plus one
+// checkpointed burst row. `oneshot_*` is the run-to-completion shape where
+// every injection diverges for good — the ratio there hovers near 1 and
+// guards against the batching bookkeeping ever making campaigns slower.
+void BM_CampaignThroughput(benchmark::State& state, unsigned batch, bool streaming) {
     sweep::SweepRunner pool(1);
     fault::CampaignConfig seu;
     seu.injections = 20;
     seu.seed = 42;
     seu.ecc = true;
-    seu.engine = engine;
-    seu.batch = 8;
+    seu.batch = batch;
     unsigned injections = 0;
     if (streaming) {
         const app::StreamingBenchmark stream({.use_barrier = true}, 4);
@@ -329,13 +325,11 @@ void BM_CampaignThroughput(benchmark::State& state, cluster::SimEngine engine, b
     state.counters["inj/s"] =
         benchmark::Counter(static_cast<double>(injections), benchmark::Counter::kIsRate);
 }
-BENCHMARK_CAPTURE(BM_CampaignThroughput, streaming_trace, cluster::SimEngine::Trace, true)
+BENCHMARK_CAPTURE(BM_CampaignThroughput, streaming_trace, 0u, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CampaignThroughput, streaming_batched, 8u, true)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CampaignThroughput, streaming_batched, cluster::SimEngine::Batched, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CampaignThroughput, oneshot_trace, cluster::SimEngine::Trace, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CampaignThroughput, oneshot_batched, cluster::SimEngine::Batched, false)
+BENCHMARK_CAPTURE(BM_CampaignThroughput, oneshot_trace, 0u, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CampaignThroughput, oneshot_batched, 8u, false)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullBenchmarkRun(benchmark::State& state) {

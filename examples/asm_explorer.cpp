@@ -2,12 +2,14 @@
 // demo), print the listing with round-trip disassembly, execute it on the
 // functional ISS with a full instruction trace, and dump the final state.
 //
-//   $ ./build/examples/asm_explorer [program.asm] [--trace N]
+//   $ ./build/examples/asm_explorer [program.asm] [--trace N]   (--help lists options)
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/cli.hpp"
 #include "core/functional_core.hpp"
 #include "isa/assembler.hpp"
 #include "isa/disassembler.hpp"
@@ -44,22 +46,28 @@ int main(int argc, char** argv) {
     std::string source = kDemo;
     std::string name = "<built-in demo>";
     std::uint64_t trace_limit = 40;
+    std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--trace" && i + 1 < argc) {
-            trace_limit = std::stoull(argv[++i]);
-        } else {
-            std::ifstream in(arg);
-            if (!in) {
-                std::cerr << "cannot open " << arg << '\n';
-                return 1;
-            }
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            source = ss.str();
-            name = arg;
+    Cli cli("asm_explorer", "[program.asm] [options]");
+    cli.positionals(files)
+        .integer("--trace", "N", "trace the first N instructions (default 40)", trace_limit, 0,
+                 ~0ull)
+        .parse(argc, argv);
+    if (files.size() > 1) {
+        std::cerr << "more than one program file given ('" << files[0] << "' and '" << files[1]
+                  << "')\n";
+        return 2;
+    }
+    if (!files.empty()) {
+        std::ifstream in(files[0]);
+        if (!in) {
+            std::cerr << "cannot open " << files[0] << '\n';
+            return 1;
         }
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        source = ss.str();
+        name = files[0];
     }
 
     isa::Program prog;

@@ -3,21 +3,32 @@
 // lockstep at every block boundary (watch the fetch-merge ratio), and the
 // event trace showing the barrier protocol in action.
 //
-//   $ ./build/examples/streaming_monitor [blocks]
-#include <cstdlib>
+//   $ ./build/examples/streaming_monitor [blocks]   (1..4096, default 6)
 #include <iostream>
-
+#include <string>
 #include <vector>
 
 #include "app/streaming.hpp"
 #include "cluster/trace.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "exp/experiments.hpp"
 
 using namespace ulpmc;
 
 int main(int argc, char** argv) {
-    const unsigned blocks = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 6;
+    std::vector<std::string> args;
+    Cli cli("streaming_monitor", "[blocks]   (consecutive blocks, 1..4096, default 6)");
+    cli.positionals(args).parse(argc, argv);
+    std::uint64_t n = 6;
+    const std::string err = args.size() > 1 ? "more than one [blocks] argument"
+                            : args.empty()  ? ""
+                                            : read_u64(args[0], 1, 4096, n);
+    if (!err.empty()) {
+        std::cerr << "blocks: " << err << "\n";
+        return 2;
+    }
+    const auto blocks = static_cast<unsigned>(n);
 
     std::cout << "Streaming " << blocks << " consecutive 512-sample blocks per lead\n\n";
 

@@ -99,7 +99,7 @@ public:
     /// Contract: when it returns false for (block, attempt), `hook` is a
     /// no-op for that attempt — the attempt is then bit-identical to the
     /// fault-free reference (determinism) and may be credited instead of
-    /// simulated. Strikes under the batched engine are sparse, so this is
+    /// simulated. Strikes in batched campaigns are sparse, so this is
     /// where campaign throughput comes from.
     using BlockPerturbed = std::function<bool(unsigned block, unsigned attempt)>;
 
@@ -109,7 +109,7 @@ public:
                                    const BlockFaultHook& hook = {}) const;
     ResilientOutcome run_resilient(cluster::ArchKind arch, const BlockFaultHook& hook = {}) const;
 
-    /// Memoizing variant (batched engine): blocks whose first attempt is
+    /// Memoizing variant (batched campaigns): blocks whose first attempt is
     /// unperturbed are credited from the fault-free reference instead of
     /// simulated (run_resilient resets the cluster per block, so every
     /// unperturbed attempt IS the reference block). `known_clean_block`,
@@ -162,7 +162,7 @@ public:
                                       const BlockFaultHook& hook,
                                       const DurableOptions& durable) const;
 
-    /// Memoized clean stream for run_checkpointed (batched engine): one
+    /// Memoized clean stream for run_checkpointed (batched campaigns): one
     /// portable snapshot per block boundary of the fault-free continuous
     /// run, captured once per (campaign, thread) and then used to skip the
     /// clean prefix of every injection — and, when the injection's state
@@ -193,7 +193,7 @@ public:
         Cycle clean_block_cycles_ = 0;
     };
 
-    /// Memoizing variant (batched engine): the first call under `memo`
+    /// Memoizing variant (batched campaigns): the first call under `memo`
     /// captures the fault-free stream's block-boundary snapshots; later
     /// calls restore the snapshot of the first perturbed block and only
     /// simulate from there — the skipped clean prefix is credited to

@@ -79,6 +79,7 @@ BatchedCluster::BatchedCluster(const ClusterConfig& cfg,
 void BatchedCluster::reset(const ClusterConfig& cfg,
                            std::shared_ptr<const isa::ProgramImage> image, unsigned lanes) {
     ULPMC_EXPECTS(lanes >= 1);
+    ULPMC_EXPECTS(cfg.engine == SimEngine::Trace);
     ULPMC_EXPECTS(image != nullptr);
     rep_.reset(cfg, image);
     image_ = std::move(image);

@@ -37,8 +37,8 @@ namespace ulpmc::cluster {
 /// B lanes in lockstep over one shared representative cluster.
 class BatchedCluster {
 public:
-    /// `cfg.engine` should be SimEngine::Batched (each underlying cluster
-    /// then runs the trace path); `lanes` is the batch width B.
+    /// `cfg.engine` must be SimEngine::Trace (the reference tier stays
+    /// un-batched); `lanes` is the batch width B.
     BatchedCluster(const ClusterConfig& cfg, std::shared_ptr<const isa::ProgramImage> image,
                    unsigned lanes);
 

@@ -158,8 +158,8 @@ void Cluster::reset_from_image() {
         fetch_table_.clear();
     }
 
-    // --- superblock map (trace/batched engines) ------------------------------
-    if (cfg_.trace_path()) {
+    // --- superblock map (trace engine) ------------------------------
+    if (cfg_.fast_path()) {
         // Copy the image's pre-built map instead of re-deriving it; the
         // copy-assignments reuse this instance's buffer capacity.
         text_image_.assign(text.begin(), text.end());
@@ -260,7 +260,7 @@ void Cluster::im_poke(PAddr pc, InstrWord word) {
 void Cluster::refresh_blockmap(PAddr pc, InstrWord readback) {
     if (std::find(im_dirty_.begin(), im_dirty_.end(), pc) == im_dirty_.end())
         im_dirty_.push_back(pc);
-    if (!cfg_.trace_path() || pc >= text_image_.size()) return;
+    if (!cfg_.fast_path() || pc >= text_image_.size()) return;
     text_image_[pc] = readback & kInstrWordMask;
     blockmap_.rebuild(text_image_);
 }
@@ -275,7 +275,7 @@ void Cluster::save(Snapshot& out) const {
     out.cores = cores_;
     // Materialize every live EX slot into its ex_buf so the snapshot is
     // self-contained: a slot aliasing this instance's predecoded_ array
-    // would otherwise pin the snapshot to this instance (the batched tier
+    // would otherwise pin the snapshot to this instance (BatchedCluster
     // restores a representative's rung into per-lane clusters). Content is
     // identical either way — the re-latch in im_poke/inject_im_fault just
     // becomes a no-op for restored cores.
@@ -372,9 +372,9 @@ void Cluster::restore(const Snapshot& s) {
                 if (pc < fetch_table_.size())
                     fetch_table_[pc].pre = predecoded_.lookup(pa->bank, pa->offset);
             }
-            if (cfg_.trace_path() && pc < text_image_.size()) text_image_[pc] = readback;
+            if (cfg_.fast_path() && pc < text_image_.size()) text_image_[pc] = readback;
         }
-        if (cfg_.trace_path()) blockmap_.rebuild(text_image_);
+        if (cfg_.fast_path()) blockmap_.rebuild(text_image_);
     }
 
     // Arbitration scratch and the active-core list are derived state.
@@ -651,7 +651,7 @@ bool Cluster::step() {
 }
 
 Cycle Cluster::run(Cycle max_cycles) {
-    if (cfg_.trace_path()) {
+    if (cfg_.fast_path()) {
         // Alternate between superblock bursts (whenever the state is
         // burst-eligible) and generic cycles (multi-core phases, dual-port
         // instructions, armed glitches, staggered warm-up).

@@ -21,12 +21,8 @@ std::string engine_name(SimEngine e) {
     switch (e) {
     case SimEngine::Reference:
         return "reference";
-    case SimEngine::Fast:
-        return "fast";
     case SimEngine::Trace:
         return "trace";
-    case SimEngine::Batched:
-        return "batched";
     }
     ULPMC_ASSERT(false);
 }

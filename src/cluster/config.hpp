@@ -26,19 +26,19 @@ inline constexpr unsigned kArchKindCount = static_cast<unsigned>(ArchKind::Ulpmc
 /// Display name used in every reproduced table ("mc-ref", ...).
 std::string arch_name(ArchKind k);
 
-/// Simulator engine tiers (DESIGN.md §10). All tiers are cycle-for-cycle
+/// Simulator engine tiers (DESIGN.md §10). Both tiers are cycle-for-cycle
 /// and stat-for-stat identical; they differ only in how much work the
-/// simulator does per simulated cycle.
+/// simulator does per simulated cycle. Batching identical instances is a
+/// campaign execution strategy above the tier (fault::CampaignConfig::batch,
+/// DESIGN.md §11), not a tier of its own.
 enum class SimEngine : std::uint8_t {
-    Reference, ///< decode-every-fetch, full round-robin arbitration
-    Fast,      ///< PR 1: pre-decoded IM + conflict-free crossbar fast path
-    Trace,     ///< PR 3: Fast + superblock dispatch with memoized timing
-    Batched    ///< PR 6: Trace inside one instance, plus campaign-level
-               ///< lockstep sharing across instances (DESIGN.md §11)
+    Reference, ///< the oracle: decode-every-fetch, full round-robin arbitration
+    Trace      ///< production: pre-decoded IM, conflict-free crossbar fast
+               ///< path and superblock dispatch with memoized timing
 };
-inline constexpr unsigned kSimEngineCount = static_cast<unsigned>(SimEngine::Batched) + 1;
+inline constexpr unsigned kSimEngineCount = static_cast<unsigned>(SimEngine::Trace) + 1;
 
-/// Display / CLI name: "reference", "fast", "trace", "batched".
+/// Display / CLI name: "reference", "trace".
 std::string engine_name(SimEngine e);
 
 /// Declares the shared --engine flag on `cli`: any tier by engine_name().
@@ -124,23 +124,15 @@ struct ClusterConfig {
     Cycle watchdog_cycles = 0;
 
     /// Simulator engine tier (no architectural meaning). Results and
-    /// statistics are cycle-for-cycle identical across all tiers — the
-    /// lower tiers exist so any discrepancy can be bisected from the CLI
-    /// (--engine=reference|fast|trace|batched) and pinned by differential
-    /// tests.
+    /// statistics are cycle-for-cycle identical across tiers — the
+    /// reference tier exists so any discrepancy can be bisected from the
+    /// CLI (--engine=reference|trace) and pinned by differential tests.
     SimEngine engine = SimEngine::Trace;
 
-    /// True for every tier above Reference: pre-decoded IM and the
-    /// crossbars' conflict-free fast path are enabled.
-    bool fast_path() const { return engine != SimEngine::Reference; }
-
-    /// True for the trace-compiled tiers (Trace and Batched): superblock
-    /// dispatch, memo lanes and the text-image/blockmap caches are active.
-    /// A Batched cluster behaves exactly like a Trace cluster inside one
-    /// instance; the batching itself lives above Cluster (DESIGN.md §11).
-    bool trace_path() const {
-        return engine == SimEngine::Trace || engine == SimEngine::Batched;
-    }
+    /// True for the Trace tier: pre-decoded IM, the crossbars'
+    /// conflict-free fast path, superblock dispatch, memo lanes and the
+    /// text-image/blockmap caches are active.
+    bool fast_path() const { return engine == SimEngine::Trace; }
 };
 
 /// Virtual data address of the barrier register (extension).

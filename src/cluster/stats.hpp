@@ -16,7 +16,7 @@
 
 namespace ulpmc::cluster {
 
-/// Why a batched-tier lane left lockstep (DESIGN.md §11). Lives here, not
+/// Why a BatchedCluster lane left lockstep (DESIGN.md §11). Lives here, not
 /// in batched.hpp, because the per-reason counters are part of
 /// ClusterStats.
 enum class PeelReason : std::uint8_t {
@@ -91,9 +91,9 @@ struct ClusterStats {
     std::uint64_t dm_scrub_corrected = 0;     ///< latent DM upsets repaired by the walker
     std::uint64_t dm_scrub_uncorrectable = 0; ///< double-bit DM words the walker found
 
-    // Batched-tier lane-divergence counters (DESIGN.md §11). A plain
+    // BatchedCluster lane-divergence counters (DESIGN.md §11). A plain
     // Cluster never touches these; BatchedCluster::lane_stats() fills them
-    // in so batched-tier efficiency is observable per lane: how many cycles
+    // in so batching efficiency is observable per lane: how many cycles
     // the lane rode the shared lockstep representative instead of being
     // simulated privately, how often it peeled off, and why.
     std::uint64_t batch_lockstep_cycles = 0;

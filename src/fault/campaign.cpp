@@ -44,6 +44,7 @@ cluster::ClusterConfig resilient_config(const app::EcgBenchmark& bench, cluster:
     c.reg_protection = cfg.reg_protection;
     c.watchdog_cycles = cfg.watchdog_cycles;
     c.engine = cfg.engine;
+    ULPMC_EXPECTS(cfg.batch == 0 || cfg.engine == cluster::SimEngine::Trace);
     c.im_scrub = cfg.im_scrub;
     c.xbar_self_check = cfg.xbar_self_check;
     return c;
@@ -71,7 +72,7 @@ struct Workspace {
     std::unique_ptr<cluster::CheckpointRunner> runner; ///< bound to *cl
     std::vector<cluster::Cluster::Snapshot> ladder;
     std::vector<Cycle> rung_cycle;
-    // ---- batched engine ----------------------------------------------
+    // ---- batched campaigns (batch > 0) --------------------------------
     std::unique_ptr<cluster::BatchedCluster> bc; ///< lanes + clean representative
     cluster::ClusterStats stats_buf;             ///< lane_stats_into scratch
     /// Memoized clean stream of the checkpointed streaming campaign.
@@ -114,8 +115,8 @@ bool outputs_verified(const cluster::Cluster& cl, const app::EcgBenchmark& bench
     return true;
 }
 
-/// One-shot outcome classification, shared by the Trace and Batched paths
-/// so their tables are byte-identical by construction. `view` is the
+/// One-shot outcome classification, shared by the per-injection and
+/// batched paths so their tables are byte-identical by construction. `view` is the
 /// cluster embodying the injection's final state; `st` its (materialized)
 /// statistics — the same object for a plain run, base+tail for a rejoined
 /// batch lane.
@@ -225,15 +226,15 @@ CampaignResult run_campaign(const app::EcgBenchmark& bench, cluster::ArchKind ar
     const std::vector<std::uint64_t> globals = shard_indices(cfg);
     res.runs.resize(globals.size());
 
-    // Batched engine, one-shot recovery: lanes share the clean
+    // Batched campaign, one-shot recovery: lanes share the clean
     // representative (DESIGN.md §11). Each injection peels off the ladder
     // rung below its strike, simulates privately only while divergent, and
     // rejoins the clean run at the first boundary where its state matches
     // — the entire remaining tail is then credited, not simulated. The
     // checkpointed one-shot mode keeps the per-lane path below (rollback
     // re-execution makes lanes diverge from the clean schedule for good).
-    const bool lockstep = cfg.engine == cluster::SimEngine::Batched && !cfg.checkpoint;
-    const unsigned B = std::max(1u, cfg.batch);
+    const bool lockstep = cfg.batch > 0 && !cfg.checkpoint;
+    const unsigned B = cfg.batch;
     const std::size_t groups = lockstep ? (globals.size() + B - 1) / B : 0;
 
     if (lockstep) {
@@ -420,11 +421,11 @@ CampaignResult run_streaming_campaign(const app::StreamingBenchmark& bench,
     universe.reg_burst = cfg.reg_burst;
 
     const std::uint64_t nonce = next_campaign_nonce();
-    // Batched engine: the fault-free stream is memoized (DESIGN.md §11) —
+    // Batched campaign: the fault-free stream is memoized (DESIGN.md §11) —
     // unperturbed blocks are credited from it instead of re-simulated. The
     // perturbed() predicate below mirrors the hook's early-return exactly,
     // which is what makes the credit sound.
-    const bool batched = cfg.engine == cluster::SimEngine::Batched;
+    const bool batched = cfg.batch > 0;
 
     const std::vector<std::uint64_t> globals = shard_indices(cfg);
     res.runs.resize(globals.size());

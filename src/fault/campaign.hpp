@@ -88,14 +88,15 @@ struct CampaignConfig {
     /// Hang bound as a multiple of the fault-free run's cycle count.
     double max_cycles_factor = 4.0;
     /// Simulator tier (no effect on outcomes — differential-tested).
-    /// SimEngine::Batched additionally turns on campaign-level lockstep
-    /// sharing: one-shot injections run as batches of `batch` lanes over a
-    /// shared representative (peel on strike, rejoin on convergence), and
-    /// streaming injections memoize the fault-free stream. Outcome tables
-    /// stay byte-identical to Trace; only wall-clock changes.
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    /// Lanes per batch group under the batched engine (ignored otherwise).
-    unsigned batch = 8;
+    /// Campaign-level lockstep sharing (DESIGN.md §11), Trace tier only.
+    /// 0 runs every injection on its own cluster. B >= 1 runs one-shot
+    /// injections as groups of B lanes over a shared representative (peel
+    /// on strike, rejoin on convergence) and memoizes the fault-free
+    /// stream of streaming injections. Outcome tables stay byte-identical
+    /// to batch 0; only wall-clock changes. The adaptive and storage
+    /// campaigns ignore it.
+    unsigned batch = 0;
     /// Shard selector: this invocation runs the global injection indices
     /// congruent to shard_index mod shard_count. (1, 0) = everything.
     unsigned shard_count = 1;
@@ -113,7 +114,7 @@ struct InjectionRecord {
     std::uint64_t checkpoints = 0;   ///< snapshots taken in this run
     Cycle reexec_cycles = 0;         ///< cycles re-executed after rollbacks
     std::uint64_t strikes = 1;       ///< upsets deposited (adaptive runs: many)
-    // ---- batched-engine observability (zero under other engines) ------
+    // ---- batching observability (zero when batch == 0) ----------------
     /// Cycles this injection rode on shared/memoized execution instead of
     /// simulating privately (lockstep prefix + rejoined tail, or the
     /// memoized clean stream).
@@ -136,7 +137,7 @@ struct CampaignResult {
     std::uint64_t strikes = 0;          ///< total upsets deposited
     std::uint64_t interval_updates = 0; ///< controller re-solves that changed the interval
     double overhead_energy = 0;         ///< checkpoint-save + re-execution energy [J]
-    // Batched-engine aggregates (zero elsewhere).
+    // Batching aggregates (zero when batch == 0).
     std::uint64_t batch_lockstep_cycles = 0; ///< total shared/memoized cycles
     std::uint64_t batch_lane_peels = 0;      ///< total lane divergences
     std::array<std::uint64_t, cluster::kPeelReasonCount> batch_peel_reasons{};

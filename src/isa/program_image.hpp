@@ -52,7 +52,7 @@ public:
     /// Pre-derived decode of text()[pc] (pc must be < text_size()).
     const DecodedInstr& decoded(PAddr pc) const { return decoded_[pc]; }
 
-    /// Pre-built superblock map over text() (trace/batched engines).
+    /// Pre-built superblock map over text() (trace engine).
     const BlockMap& blockmap() const { return blockmap_; }
 
 private:

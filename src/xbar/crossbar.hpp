@@ -145,7 +145,7 @@ public:
     }
 
     /// True when the future-determining state (everything save() captures
-    /// EXCEPT the statistics) matches the snapshot. The batched tier's
+    /// EXCEPT the statistics) matches the snapshot. BatchedCluster's
     /// lane-rejoin comparator: two crossbars in this relation arbitrate
     /// identically forever given identical request streams.
     bool state_equals(const XbarSnapshot& s) const {

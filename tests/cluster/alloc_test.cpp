@@ -130,8 +130,7 @@ TEST(ZeroAlloc, SweepAndCampaignInnerLoopIsHeapFree) {
 TEST(ZeroAlloc, BatchedCampaignInnerLoopIsHeapFree) {
     const auto prog = loop_program();
     const auto image = isa::ProgramImage::build(prog);
-    auto cfg = make_cfg(4);
-    cfg.engine = cluster::SimEngine::Batched;
+    const auto cfg = make_cfg(4);
 
     // Campaign shape: the representative runs the clean schedule once and
     // snapshots a rung; every injection group then resets the lanes, peels

@@ -53,10 +53,9 @@ isa::Program overwrite_program() {
     )");
 }
 
-cluster::ClusterConfig cfg_of(cluster::ArchKind arch, unsigned cores, cluster::SimEngine engine) {
+cluster::ClusterConfig cfg_of(cluster::ArchKind arch, unsigned cores) {
     auto cfg = cluster::make_config(arch, kLayout);
     cfg.cores = cores;
-    cfg.engine = engine;
     return cfg;
 }
 
@@ -99,11 +98,11 @@ TEST(BatchedDiff, CleanLockstepMatchesTracePerLane) {
             for (const unsigned batch : kBatchSizes) {
                 const std::string ctx = cluster::arch_name(arch) + "/c" + std::to_string(cores) +
                                         "/b" + std::to_string(batch);
-                cluster::Cluster ref(cfg_of(arch, cores, cluster::SimEngine::Trace), image);
+                const auto cfg = cfg_of(arch, cores);
+                cluster::Cluster ref(cfg, image);
                 ref.run(100'000);
 
-                cluster::BatchedCluster bc(cfg_of(arch, cores, cluster::SimEngine::Batched),
-                                           image, batch);
+                cluster::BatchedCluster bc(cfg, image, batch);
                 bc.run_lockstep(100'000);
                 for (unsigned l = 0; l < batch; ++l) {
                     ASSERT_TRUE(bc.in_lockstep(l)) << ctx;
@@ -127,7 +126,7 @@ TEST(BatchedDiff, RandomFaultPeelsOneLaneSiblingsStayLockstep) {
             for (const unsigned batch : kBatchSizes) {
                 const std::string ctx = cluster::arch_name(arch) + "/c" + std::to_string(cores) +
                                         "/b" + std::to_string(batch);
-                const auto tcfg = cfg_of(arch, cores, cluster::SimEngine::Trace);
+                const auto tcfg = cfg_of(arch, cores);
                 cluster::Cluster clean(tcfg, image);
                 const Cycle clean_cycles = clean.run(100'000);
 
@@ -150,8 +149,7 @@ TEST(BatchedDiff, RandomFaultPeelsOneLaneSiblingsStayLockstep) {
                 apply(ref);
                 ref.run(200'000);
 
-                cluster::BatchedCluster bc(cfg_of(arch, cores, cluster::SimEngine::Batched),
-                                           image, batch);
+                cluster::BatchedCluster bc(tcfg, image, batch);
                 bc.run_lockstep(strike);
                 cluster::Cluster& lane = bc.peel(victim, cluster::PeelReason::FaultStrike);
                 apply(lane);
@@ -183,7 +181,7 @@ TEST(BatchedDiff, ConvergedLaneRejoinsWithExactStats) {
     const auto image = isa::ProgramImage::build(prog);
     const auto arch = cluster::ArchKind::UlpmcBank;
     const unsigned cores = 4, batch = 4, victim = 1;
-    const auto tcfg = cfg_of(arch, cores, cluster::SimEngine::Trace);
+    const auto tcfg = cfg_of(arch, cores);
 
     cluster::Cluster clean(tcfg, image);
     const Cycle clean_cycles = clean.run(100'000);
@@ -196,7 +194,7 @@ TEST(BatchedDiff, ConvergedLaneRejoinsWithExactStats) {
     ref.run(200'000);
     ASSERT_EQ(ref.stats().cycles, clean_cycles) << "fault must converge for this test";
 
-    cluster::BatchedCluster bc(cfg_of(arch, cores, cluster::SimEngine::Batched), image, batch);
+    cluster::BatchedCluster bc(tcfg, image, batch);
     bc.run_lockstep(strike);
     cluster::Cluster& lane = bc.peel(victim, cluster::PeelReason::FaultStrike);
     lane.inject_dm_fault(0, 700, 0x3C);
@@ -224,11 +222,11 @@ TEST(BatchedDiff, PeelAtEarlierSnapshotBackCreditsPrefix) {
     const auto image = isa::ProgramImage::build(prog);
     const auto arch = cluster::ArchKind::UlpmcInt;
     const unsigned cores = 2, batch = 4, victim = 2;
-    const auto tcfg = cfg_of(arch, cores, cluster::SimEngine::Trace);
+    const auto tcfg = cfg_of(arch, cores);
 
     // Campaign shape: the representative runs the whole clean run first;
     // lanes then re-seed from saved rungs.
-    cluster::BatchedCluster bc(cfg_of(arch, cores, cluster::SimEngine::Batched), image, batch);
+    cluster::BatchedCluster bc(tcfg, image, batch);
     cluster::Cluster::Snapshot rung;
     bc.rep().run(80);
     bc.rep().save(rung);

@@ -1,7 +1,7 @@
-// Differential test of the simulation engine tiers. The optimized engines
-// (fast: pre-decoded IM, PC-indexed fetch table, claim-bitmask crossbar
-// arbitration, in-place execute; trace: superblock dispatch with memoized
-// timing) must be cycle-for-cycle identical to the reference engine: same
+// Differential test of the simulation engine tiers. The trace engine
+// (pre-decoded IM, PC-indexed fetch table, claim-bitmask crossbar
+// arbitration, in-place execute, superblock dispatch with memoized timing)
+// must be cycle-for-cycle identical to the reference engine: same
 // ClusterStats, same architectural core state, same data-memory contents —
 // for every IM policy and core count, on randomized SPMD programs that mix
 // private/shared loads and stores (so broadcast rides, bank conflicts,
@@ -20,8 +20,8 @@ namespace {
 
 constexpr mmu::DmLayout kLayout{.shared_words = 512, .private_words_per_core = 2048};
 
-constexpr cluster::SimEngine kAllEngines[] = {
-    cluster::SimEngine::Reference, cluster::SimEngine::Fast, cluster::SimEngine::Trace};
+constexpr cluster::SimEngine kAllEngines[] = {cluster::SimEngine::Reference,
+                                              cluster::SimEngine::Trace};
 
 /// A random but well-formed SPMD kernel: pointer setup, a loop of
 /// ALU/load/store work, and a branch-to-self halt. Addresses stay inside
@@ -88,7 +88,7 @@ void expect_same_observable_state(cluster::Cluster& got, cluster::Cluster& ref,
     }
 }
 
-/// Runs `prog` under `cfg` on all three engine tiers and asserts they are
+/// Runs `prog` under `cfg` on both engine tiers and asserts they are
 /// observably identical (the reference engine is the golden model).
 void expect_engines_identical(cluster::ClusterConfig cfg, const isa::Program& prog,
                               Cycle max_cycles, const std::string& context) {
@@ -96,13 +96,10 @@ void expect_engines_identical(cluster::ClusterConfig cfg, const isa::Program& pr
     cluster::Cluster ref(cfg, prog);
     const Cycle cycles_ref = ref.run(max_cycles);
 
-    for (const auto engine : {cluster::SimEngine::Fast, cluster::SimEngine::Trace}) {
-        cfg.engine = engine;
-        cluster::Cluster opt(cfg, prog);
-        const std::string ctx = context + " engine=" + cluster::engine_name(engine);
-        ASSERT_EQ(opt.run(max_cycles), cycles_ref) << ctx;
-        expect_same_observable_state(opt, ref, cfg.cores, ctx);
-    }
+    cfg.engine = cluster::SimEngine::Trace;
+    cluster::Cluster trace(cfg, prog);
+    ASSERT_EQ(trace.run(max_cycles), cycles_ref) << context;
+    expect_same_observable_state(trace, ref, cfg.cores, context);
 }
 
 TEST(FastpathDiff, RandomProgramsAllPoliciesAllCoreCounts) {
@@ -141,19 +138,16 @@ TEST(FastpathDiff, MaxCyclesTimeoutReportsIdenticalLiveCycleCount) {
         cfg.engine = cluster::SimEngine::Reference;
         cluster::Cluster ref(cfg, prog);
         EXPECT_EQ(ref.run(5'000), 5'000u);
-        for (const auto engine : {cluster::SimEngine::Fast, cluster::SimEngine::Trace}) {
-            cfg.engine = engine;
-            cluster::Cluster opt(cfg, prog);
-            EXPECT_EQ(opt.run(5'000), 5'000u);
-            EXPECT_EQ(opt.stats(), ref.stats())
-                << cluster::arch_name(arch) << " engine=" << cluster::engine_name(engine);
-        }
+        cfg.engine = cluster::SimEngine::Trace;
+        cluster::Cluster trace(cfg, prog);
+        EXPECT_EQ(trace.run(5'000), 5'000u);
+        EXPECT_EQ(trace.stats(), ref.stats()) << cluster::arch_name(arch);
     }
 }
 
 TEST(FastpathDiff, ImPokeRefreshesPredecodedEntry) {
     // Patching IM must re-decode exactly the patched word, so the next
-    // fetch executes the new instruction on the optimized engines too.
+    // fetch executes the new instruction on the trace engine too.
     const auto prog = isa::assemble("        movi r1, 5\ndone:   bra al, done\n");
     const auto patched = isa::assemble("        movi r1, 7\ndone:   bra al, done\n");
     for (const auto arch : {cluster::ArchKind::McRef, cluster::ArchKind::UlpmcInt,
@@ -178,8 +172,8 @@ TEST(FastpathDiff, ImPokeRefreshesPredecodedEntry) {
 TEST(FastpathDiff, ImPokeAfterFetchExecutesLatchedInstruction) {
     // A word already fetched into EX executes as latched, even if IM is
     // patched between the fetch and the commit — on every engine (the
-    // hardware latches the fetched word; the optimized engines must not
-    // observe the patch through their pre-decode pointers).
+    // hardware latches the fetched word; the trace engine must not
+    // observe the patch through its pre-decode pointers).
     const auto prog = isa::assemble("        movi r1, 5\ndone:   bra al, done\n");
     const auto patched = isa::assemble("        movi r1, 7\ndone:   bra al, done\n");
     for (const auto engine : kAllEngines) {
@@ -209,8 +203,6 @@ TEST(FastpathDiff, InjectedFaultsKeepEnginesCycleIdentical) {
             cfg.ecc_enabled = ecc;
             cfg.engine = cluster::SimEngine::Reference;
             cluster::Cluster ref(cfg, prog);
-            cfg.engine = cluster::SimEngine::Fast;
-            cluster::Cluster fast(cfg, prog);
             cfg.engine = cluster::SimEngine::Trace;
             cluster::Cluster trace(cfg, prog);
             const std::string context =
@@ -221,17 +213,15 @@ TEST(FastpathDiff, InjectedFaultsKeepEnginesCycleIdentical) {
             const InstrWord im_flip = 1u << rng.below(24);
             const Addr vaddr = rng.below(kLayout.limit());
             const Word dm_flip = static_cast<Word>(1u << rng.below(16));
-            for (auto* cl : {&ref, &fast, &trace}) {
+            for (auto* cl : {&ref, &trace}) {
                 cl->run(40);
                 cl->inject_im_fault(pc, im_flip);
                 cl->inject_dm_fault(1, vaddr, dm_flip);
                 cl->inject_reg_fault(0, 3, 0x0010);
             }
             const Cycle cycles_ref = ref.run(200'000);
-            ASSERT_EQ(fast.run(200'000), cycles_ref) << context;
             ASSERT_EQ(trace.run(200'000), cycles_ref) << context;
-            expect_same_observable_state(fast, ref, cfg.cores, context + " fast");
-            expect_same_observable_state(trace, ref, cfg.cores, context + " trace");
+            expect_same_observable_state(trace, ref, cfg.cores, context);
         }
     }
 }

@@ -149,7 +149,7 @@ TEST(ClusterReuse, SnapshotRestoreUndoesFaultAndTextPatch) {
 }
 
 TEST(ClusterReuse, SnapshotPortableAcrossInstances) {
-    // The batched tier's peel restores a snapshot of the REPRESENTATIVE
+    // BatchedCluster's peel restores a snapshot of the REPRESENTATIVE
     // into a DIFFERENT cluster instance — one that may carry its own IM
     // dirt from a previous injection. The restore must erase the target's
     // dirt (dirt-union repair), apply the source's, and land bit-exactly.

@@ -37,7 +37,7 @@ TEST(Traps, IllegalEncodingTraps) {
         nop
         hlt
     )");
-    for (const auto engine : {SimEngine::Reference, SimEngine::Fast, SimEngine::Trace}) {
+    for (const auto engine : {SimEngine::Reference, SimEngine::Trace}) {
         auto cfg = make_config(ArchKind::UlpmcBank, kLayout);
         cfg.cores = 1;
         cfg.engine = engine;

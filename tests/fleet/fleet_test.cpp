@@ -119,9 +119,9 @@ TEST(Fleet, EngineTierNeverReachesTheArtifact) {
     FleetOptions opt = base_options();
     opt.engine = cluster::SimEngine::Trace;
     const std::string trace = render(opt, run_fleet(opt).aggregate, opt.devices);
-    opt.engine = cluster::SimEngine::Batched;
-    const std::string batched = render(opt, run_fleet(opt).aggregate, opt.devices);
-    EXPECT_EQ(trace, batched);
+    opt.engine = cluster::SimEngine::Reference;
+    const std::string reference = render(opt, run_fleet(opt).aggregate, opt.devices);
+    EXPECT_EQ(trace, reference);
 }
 
 TEST(Fleet, MergedShardsReproduceUnshardedBytes) {

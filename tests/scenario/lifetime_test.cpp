@@ -2,7 +2,7 @@
 //
 // The headline guarantee: one (timeline, seed) pair fully determines a
 // device lifetime — the emitted JSON is byte-identical across simulator
-// engine tiers (trace vs batched) and across SweepRunner thread counts.
+// engine tiers (trace vs reference) and across SweepRunner thread counts.
 // Chunk planning draws every strike from a stream keyed by the global
 // block index and all device state applies in block order, so neither the
 // engine tier (stat-identical by the differential suites) nor the
@@ -56,12 +56,12 @@ std::string as_json(const LifetimeReport& rep) {
 }
 
 TEST(Lifetime, JsonIsByteIdenticalAcrossEngineTiersAndThreadCounts) {
-    const std::string reference = as_json(run_once(cluster::SimEngine::Trace, 1, Policy::Ladder));
+    const std::string trace1 = as_json(run_once(cluster::SimEngine::Trace, 1, Policy::Ladder));
     // The engine tier must not be able to leak into the bytes...
-    EXPECT_EQ(reference, as_json(run_once(cluster::SimEngine::Batched, 1, Policy::Ladder)));
+    EXPECT_EQ(trace1, as_json(run_once(cluster::SimEngine::Reference, 1, Policy::Ladder)));
     // ...and neither may the parallel scheduling of struck-block runs.
-    EXPECT_EQ(reference, as_json(run_once(cluster::SimEngine::Trace, 4, Policy::Ladder)));
-    EXPECT_EQ(reference, as_json(run_once(cluster::SimEngine::Batched, 4, Policy::Ladder)));
+    EXPECT_EQ(trace1, as_json(run_once(cluster::SimEngine::Trace, 4, Policy::Ladder)));
+    EXPECT_EQ(trace1, as_json(run_once(cluster::SimEngine::Reference, 4, Policy::Ladder)));
 }
 
 TEST(Lifetime, LadderVerifiesEveryBlockAndWalksTheLadder) {

@@ -109,6 +109,25 @@ TEST(LifeResume, FinalBoundaryReplaysZeroChunks) {
     EXPECT_EQ(as_json(rep), reference);
 }
 
+TEST(LifeResume, TraceJournalResumesUnderTheReferenceTier) {
+    // The engine tier is not part of a journal's identity: a state written
+    // under trace resumes under reference, through the struck storm blocks,
+    // and still journals and reports byte-identically.
+    std::string expected;
+    const auto states = boundary_states(Policy::Ladder, &expected);
+    ASSERT_GE(states.size(), 2u);
+    DeviceConfig dc = device(Policy::Ladder);
+    dc.engine = cluster::SimEngine::Reference;
+    LifetimeEngine eng(script(), dc);
+    sweep::SweepRunner pool(2);
+    LifeResume hooks;
+    hooks.state = states[0];
+    std::vector<std::vector<std::uint8_t>> tail;
+    hooks.on_chunk = [&](const std::vector<std::uint8_t>& s) { tail.push_back(s); };
+    EXPECT_EQ(as_json(eng.run(pool, hooks)), expected);
+    EXPECT_EQ(tail, std::vector<std::vector<std::uint8_t>>(states.begin() + 1, states.end()));
+}
+
 TEST(LifeResume, BoundaryStatesAreDeterministic) {
     const auto a = boundary_states(Policy::Ladder, nullptr);
     const auto b = boundary_states(Policy::Ladder, nullptr);

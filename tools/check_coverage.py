@@ -16,8 +16,9 @@ must stay at zero.
 """
 
 import argparse
-import json
 import sys
+
+import jsonfile
 
 ID_KEYS = (
     "workload",
@@ -34,17 +35,7 @@ ID_KEYS = (
 
 
 def load(path):
-    # A missing, truncated or hand-mangled artifact must fail the gate
-    # with a diagnosis, not a traceback (CI wires stderr to the check).
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
+    doc = jsonfile.load(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("campaigns"), list):
         sys.exit(f"{path}: not a campaign artifact (no 'campaigns' list)")
     index = {}

@@ -8,51 +8,42 @@ Absolute nanoseconds are machine-dependent (the baseline was recorded on a
 different host than CI), so the gate compares *engine-tier speedups* —
 ratios of two benchmarks from the same run, which cancel the host's clock
 and load. A speedup that drops more than the tolerance (default 15%)
-below its committed value fails the job.
+below its committed value, or below the pair's absolute floor, fails the
+job.
 """
 
 import argparse
-import json
 import sys
 
+import jsonfile
+
 # (label, optimized benchmark, reference benchmark, iterations-per-iteration
-# scale of the optimized one relative to the reference one)
+# scale of the optimized one relative to the reference one, absolute floor)
 PAIRS = [
     ("cluster-run conflict-free trace/ref",
-     "BM_ClusterRunConflictFree/trace", "BM_ClusterRunConflictFree/reference", 1),
-    ("cluster-run conflict-free fast/ref",
-     "BM_ClusterRunConflictFree/fast", "BM_ClusterRunConflictFree/reference", 1),
+     "BM_ClusterRunConflictFree/trace", "BM_ClusterRunConflictFree/reference", 1, 0),
+    # The trace and the retired fast tier ran the same step() code; the
+    # fast pair's baseline (1.55x) read higher only by noise, and its floor
+    # (1.55 x 0.85 = 1.32x) stays the floor of the 8-core step gate.
     ("cluster-step 8-core trace/ref",
-     "BM_ClusterStep/int8_trace", "BM_ClusterStep/int8_slow", 1),
-    ("cluster-step 8-core fast/ref",
-     "BM_ClusterStep/int8_fast", "BM_ClusterStep/int8_slow", 1),
+     "BM_ClusterStep/int8_trace", "BM_ClusterStep/int8_slow", 1, 1.32),
     # run() executes 1024 instructions per benchmark iteration, step() one.
     ("functional-ISS block dispatch/step",
-     "BM_FunctionalCoreRunBlocks", "BM_FunctionalCoreStep", 1024),
-    # Batched engine (DESIGN.md §11): identical campaigns, byte-identical
-    # outcome tables, so the pair ratio is pure engine speedup. Streaming
-    # campaigns are the fleet-throughput case the tier targets (>=2x);
+     "BM_FunctionalCoreRunBlocks", "BM_FunctionalCoreStep", 1024, 0),
+    # Batched campaigns (DESIGN.md §11): identical campaigns, byte-identical
+    # outcome tables, so the pair ratio is pure batching speedup. Streaming
+    # campaigns are the fleet-throughput case batching targets (>=2x);
     # one-shot injections diverge for good, the pair there only guards
-    # that the batched bookkeeping never costs throughput (~1.1x).
+    # that the batching bookkeeping never costs throughput (~1.1x).
     ("campaign throughput streaming batched/trace",
-     "BM_CampaignThroughput/streaming_batched", "BM_CampaignThroughput/streaming_trace", 1),
+     "BM_CampaignThroughput/streaming_batched", "BM_CampaignThroughput/streaming_trace", 1, 0),
     ("campaign throughput one-shot batched/trace",
-     "BM_CampaignThroughput/oneshot_batched", "BM_CampaignThroughput/oneshot_trace", 1),
+     "BM_CampaignThroughput/oneshot_batched", "BM_CampaignThroughput/oneshot_trace", 1, 0),
 ]
 
 
 def load_times(path):
-    # A missing, truncated or binary artifact must fail the gate with a
-    # diagnosis, not a traceback (CI wires stderr to the check).
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
+    report = jsonfile.load(path)
     if not isinstance(report, dict):
         sys.exit(f"{path}: not a benchmark report object")
     times = {}
@@ -82,7 +73,7 @@ def main():
 
     failed = False
     print(f"{'pair':45s} {'baseline':>9s} {'current':>9s} {'floor':>7s}")
-    for label, opt, ref, scale in PAIRS:
+    for label, opt, ref, scale, min_floor in PAIRS:
         b = speedup(base, opt, ref, scale)
         c = speedup(cur, opt, ref, scale)
         if b is None:
@@ -92,7 +83,7 @@ def main():
             print(f"{label:45s}  MISSING from current report")
             failed = True
             continue
-        floor = b * (1.0 - args.tolerance)
+        floor = max(b * (1.0 - args.tolerance), min_floor)
         verdict = "ok" if c >= floor else "REGRESSION"
         print(f"{label:45s} {b:8.2f}x {c:8.2f}x {floor:6.2f}x  {verdict}")
         if c < floor:
@@ -100,7 +91,7 @@ def main():
 
     if failed:
         print(f"\nFAIL: a tier speedup regressed more than "
-              f"{args.tolerance:.0%} below the committed baseline.")
+              f"{args.tolerance:.0%} below the committed baseline, or below its floor.")
         return 1
     print("\nOK: all tier speedups within tolerance of the baseline.")
     return 0

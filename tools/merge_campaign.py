@@ -13,8 +13,9 @@ Usage: merge_campaign.py SHARD.json [SHARD.json ...] -o MERGED.json
 """
 
 import argparse
-import json
 import sys
+
+import jsonfile
 
 # Keys that must be identical across shards for a campaign to be mergeable.
 META_KEYS = (
@@ -45,17 +46,8 @@ CORE_ENERGY_PER_OP = 22.5e-12
 
 def load(path):
     # parse_float=str keeps energy_per_op exactly as the C++ bench printed
-    # it, so the merged file reproduces those bytes verbatim. A missing or
-    # mangled shard must fail with a diagnosis, not a traceback.
-    try:
-        with open(path) as f:
-            return json.load(f, parse_float=str)
-    except OSError as e:
-        sys.exit(f"{path}: cannot read: {e.strerror or e}")
-    except UnicodeDecodeError:
-        sys.exit(f"{path}: not UTF-8 text (binary file?)")
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}: malformed JSON: {e}")
+    # it, so the merged file reproduces those bytes verbatim.
+    return jsonfile.load(path, parse_float=str)
 
 
 def fmt_number(v):

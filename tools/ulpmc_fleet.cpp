@@ -67,9 +67,9 @@ struct Preempted {};
 void on_preempt_signal(int) { g_preempt = 1; }
 
 /// Everything a journaled record depends on besides the timeline bytes.
-/// `threads` is deliberately absent: results are thread-count-
-/// independent, so a resume may use a different worker count than the
-/// run it continues.
+/// `threads` and `engine` are deliberately absent: results are thread-
+/// count- and tier-independent, so a resume may use a different worker
+/// count or engine tier than the run it continues.
 std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt) {
     std::vector<std::uint8_t> m;
     ulpmc::put_raw(m, opt.seed);
@@ -79,7 +79,6 @@ std::vector<std::uint8_t> meta_payload(const ulpmc::fleet::FleetOptions& opt) {
     ulpmc::put_raw(m, static_cast<std::uint32_t>(opt.shard_n));
     ulpmc::put_f64(m, opt.days);
     ulpmc::put_f64(m, opt.baseline_fraction);
-    ulpmc::put_raw(m, static_cast<std::uint8_t>(opt.engine));
     return m;
 }
 

@@ -55,15 +55,13 @@ struct Preempted {};
 void on_preempt_signal(int) { g_preempt = 1; }
 
 /// Everything a journaled chunk state depends on besides the timeline
-/// bytes (`threads` deliberately absent: results are thread-count-
-/// independent by construction).
-std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days,
-                                       ulpmc::cluster::SimEngine engine, bool ladder,
+/// bytes (`threads` and `engine` deliberately absent: results are thread-
+/// count- and tier-independent by construction).
+std::vector<std::uint8_t> meta_payload(std::uint64_t seed, double days, bool ladder,
                                        bool baseline) {
     std::vector<std::uint8_t> m;
     ulpmc::put_raw(m, seed);
     ulpmc::put_f64(m, days);
-    ulpmc::put_raw(m, static_cast<std::uint8_t>(engine));
     ulpmc::put_raw(m, static_cast<std::uint8_t>(ladder ? 1 : 0));
     ulpmc::put_raw(m, static_cast<std::uint8_t>(baseline ? 1 : 0));
     return m;
@@ -134,7 +132,7 @@ int main(int argc, char** argv) {
         };
         try {
             journal = ulpmc::open_run_journal(journal_path, resume, timeline_path, kMetaFrame,
-                                              meta_payload(seed, days, engine, ladder, baseline),
+                                              meta_payload(seed, days, ladder, baseline),
                                               replay, std::cerr)
                           .writer;
         } catch (const ulpmc::JournalError& e) {

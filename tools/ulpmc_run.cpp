@@ -4,8 +4,9 @@
 //   ulpmc-run prog.upmc [options]      (ulpmc-run --help lists them)
 //
 // Assembly sources are also accepted directly (detected by extension).
-// Results are identical across --engine tiers (DESIGN.md §10-11); --batch
-// sets the lanes of --engine batched and is refused under any other tier.
+// Results are identical across --engine tiers (DESIGN.md §10); --batch B
+// runs B lockstep lanes over one shared representative (DESIGN.md §11) and
+// is refused under --engine reference.
 // Exit codes: 0 all cores halted, 1 load error, 2 bad usage (malformed,
 // duplicate or inconsistent options), 3 a core trapped (name printed),
 // 4 the max-cycles limit was hit.
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     bool xbar_self_check = false;
     core::RegProtection regprot = core::RegProtection::None;
     cluster::SimEngine engine = cluster::SimEngine::Trace;
-    unsigned batch = 8;
+    unsigned batch = 0;
     Cycle watchdog = 0;
     std::size_t trace_n = 0;
     long dump_addr = -1;
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
         .integer("--private", "W", "private DM words per core (default 1024)", private_words, 1,
                  kDmWordsTotal);
     cluster::add_engine_flag(cli, engine);
-    cli.integer("--batch", "B", "lanes under --engine batched (default 8)", batch, 1, 4096)
+    cli.integer("--batch", "B", "run B lockstep lanes (trace tier only)", batch, 1, 4096)
         .toggle("--ecc", "SEC-DED on every memory bank", ecc)
         .choice("--regprot", "register-file protection (default none)", regprot,
                 static_cast<unsigned>(core::RegProtection::Tmr) + 1, core::reg_protection_name)
@@ -85,8 +86,9 @@ int main(int argc, char** argv) {
         return 2;
     }
     const std::string& input = inputs[0];
-    if (cli.given("--batch") && engine != cluster::SimEngine::Batched) {
-        std::cerr << "--batch requires --engine batched (lanes only exist in the batched tier)\n";
+    if (batch > 0 && engine == cluster::SimEngine::Reference) {
+        std::cerr << "--batch is not available under --engine reference (the oracle tier "
+                     "stays un-batched)\n";
         return 2;
     }
 
@@ -160,13 +162,13 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    // Under --engine batched, B identical lanes run over one shared
+    // Under --batch B, B identical lanes run over one shared
     // representative (all stay in lockstep without fault injection); the
     // report below reads the representative, which embodies every lane.
     const auto image = isa::ProgramImage::build(prog);
     std::unique_ptr<cluster::BatchedCluster> bc;
     std::unique_ptr<cluster::Cluster> solo;
-    if (engine == cluster::SimEngine::Batched)
+    if (batch > 0)
         bc = std::make_unique<cluster::BatchedCluster>(cfg, image, batch);
     else
         solo = std::make_unique<cluster::Cluster>(cfg, image);
